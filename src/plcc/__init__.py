@@ -12,7 +12,6 @@ from .arfima import (
     STUDENT_T,
     BivariateSeries,
     McArfimaSpec,
-    WeightTable,
     arfima_weights,
     correlated_innovations,
     filter_mc_arfima,
@@ -21,7 +20,6 @@ from .arfima import (
 )
 from .core import (
     FluctuationCurve,
-    Profile,
     ScalingFit,
     TimeSeries,
     fit_loglog,
@@ -32,6 +30,7 @@ from .core import (
 )
 from .detrended import (
     DetrendConfig,
+    JointFluctuations,
     beta_dcca,
     dcca_fluctuation,
     default_scale_grid,
@@ -72,6 +71,7 @@ from .powerlaw import (
     coherency_report,
     h_rho_frequency,
     h_rho_time,
+    rho_decay,
 )
 from .spectral import (
     SpectralEstimate,
@@ -98,7 +98,6 @@ __all__ = [
     "TruncationWarning",
     # core
     "TimeSeries",
-    "Profile",
     "ScalingFit",
     "FluctuationCurve",
     "series_values",
@@ -109,7 +108,6 @@ __all__ = [
     # generation
     "GAUSSIAN",
     "STUDENT_T",
-    "WeightTable",
     "McArfimaSpec",
     "BivariateSeries",
     "arfima_weights",
@@ -119,6 +117,7 @@ __all__ = [
     "generate_arfima",
     # detrended
     "DetrendConfig",
+    "JointFluctuations",
     "min_scale_for_order",
     "default_scale_grid",
     "dfa_fluctuation",
@@ -143,6 +142,7 @@ __all__ = [
     "CoherencyReport",
     "h_rho_frequency",
     "h_rho_time",
+    "rho_decay",
     "classify",
     "coherency_report",
     # Monte Carlo harness

@@ -22,7 +22,6 @@ from .errors import InvalidParameter, TruncationWarning
 __all__ = [
     "GAUSSIAN",
     "STUDENT_T",
-    "WeightTable",
     "McArfimaSpec",
     "BivariateSeries",
     "arfima_weights",
@@ -42,26 +41,10 @@ _DISTRIBUTIONS = (GAUSSIAN, STUDENT_T)
 # =========================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class WeightTable:
-    """Moving-average weights ``a_0 .. a_{n-1}`` for one memory parameter."""
+def arfima_weights(d: float, n_terms: int) -> np.ndarray:
+    """Weights ``a_0 .. a_{n-1}`` of the fractional-integration moving average.
 
-    d: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return int(self.weights.size)
-
-
-def arfima_weights(d: float, n_terms: int) -> WeightTable:
-    """Weights of the fractional-integration moving average.
-
-    Built by the stable recursion ``a_0 = 1``, ``a_n = a_{n-1} (n - 1 + d) / n``,
+    Returned as a read-only array. Built by the stable recursion ``a_0 = 1``, ``a_n = a_{n-1} (n - 1 + d) / n``,
     which avoids gamma-function overflow for large ``n``. For ``d = 0`` every
     weight beyond ``a_0`` vanishes; for ``d`` in (0, 0.5) the weights are
     positive and decay hyperbolically.
@@ -76,7 +59,8 @@ def arfima_weights(d: float, n_terms: int) -> WeightTable:
     if n > 1:
         k = np.arange(1.0, n)
         w[1:] = np.cumprod((k - 1.0 + d) / k)
-    return WeightTable(d=float(d), weights=w)
+    w.flags.writeable = False
+    return w
 
 
 # =========================================================================
@@ -245,6 +229,11 @@ class McArfimaSpec:
             "burn_in": self.burn_in,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "McArfimaSpec":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{**d, "sigma": np.asarray(d["sigma"], dtype=float)})
+
 
 @dataclass(frozen=True, eq=False)
 class BivariateSeries:
@@ -294,7 +283,7 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
             parts.append(np.zeros(length))
             continue
         if d not in tables:
-            tables[d] = arfima_weights(d, spec.truncation + 1).weights
+            tables[d] = arfima_weights(d, spec.truncation + 1)
         filtered = _fft_convolve_tail(stream, tables[d], n_keep)
         parts.append(weight * filtered[spec.burn_in :])
     return parts[0] + parts[1], parts[2] + parts[3]
@@ -366,6 +355,6 @@ def generate_arfima(
         )
     n_keep = burn + n
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + n_keep)
-    weights = arfima_weights(d, trunc + 1).weights
+    weights = arfima_weights(d, trunc + 1)
     values = _fft_convolve_tail(stream, weights, n_keep)[burn:]
     return TimeSeries(values, label=f"arfima(d={d:g})")

@@ -24,11 +24,9 @@ from . import __version__
 from .arfima import McArfimaSpec, generate_mc_arfima
 from .detrended import (
     DetrendConfig,
-    _fit_scaling,
+    JointFluctuations,
     beta_dcca,
-    dcca_fluctuation,
     default_scale_grid,
-    dfa_fluctuation,
     rho_dcca,
 )
 from .errors import (
@@ -59,12 +57,7 @@ from .montecarlo import (
     run_experiment,
     standard_regimes,
 )
-from .powerlaw import (
-    CoherencySettings,
-    _rho_decay_fit,
-    coherency_report,
-    h_rho_frequency,
-)
+from .powerlaw import CoherencySettings, coherency_report, h_rho_frequency, rho_decay
 from .spectral import coherency, default_n_freqs
 
 EXIT_OK = 0
@@ -161,21 +154,7 @@ _GENERATE_KEYS = {"length", "seed", "output"}
 
 
 def _exec_generate(params: dict) -> tuple[int, dict]:
-    spec = McArfimaSpec(
-        alpha=params["spec"]["alpha"],
-        beta=params["spec"]["beta"],
-        gamma=params["spec"]["gamma"],
-        delta=params["spec"]["delta"],
-        d1=params["spec"]["d1"],
-        d2=params["spec"]["d2"],
-        d3=params["spec"]["d3"],
-        d4=params["spec"]["d4"],
-        sigma=np.asarray(params["spec"]["sigma"], dtype=float),
-        innovation_dist=params["spec"]["innovation_dist"],
-        dof=params["spec"]["dof"],
-        truncation=params["spec"]["truncation"],
-        burn_in=params["spec"]["burn_in"],
-    )
+    spec = McArfimaSpec.from_dict(params["spec"])
     pair = generate_mc_arfima(spec, params["length"], params["seed"])
     params["spec"] = pair.spec_echo.to_dict()
     out = params["out"]
@@ -253,33 +232,19 @@ def _empty_doc(sub: str) -> dict:
     }
 
 
-def _analyze_dfa(x, y, params, doc) -> str | None:
-    cfg = _resolve_grid(params, x.size)
-    curve = dfa_fluctuation(x, cfg)
-    doc["scales"] = [int(s) for s in curve.scales]
-    doc["values"] = [float(v) for v in curve.values]
+def _analyze_scaling(x, y, params, doc) -> str | None:
+    """dfa on a single series, dcca on a pair: one curve and its fit."""
+    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
+    values = jf.fxx if y is None else jf.fxy
+    doc["scales"] = [int(s) for s in jf.scales]
+    doc["values"] = [float(v) for v in values]
     try:
-        fit = _fit_scaling(curve.scales, curve.values, divisor=2.0)
+        fit = jf.hurst_x() if y is None else jf.hxy()
     except EstimationFailed as exc:
         return str(exc)
     doc.update(estimate=fit.exponent, stderr=fit.stderr, r2=fit.r_squared)
     doc["diagnostics"] = dict(fit.diagnostics)
-    doc["plot"] = _plot_block(curve.scales, curve.values, fit.intercept, 2.0 * fit.exponent)
-    return None
-
-
-def _analyze_dcca(x, y, params, doc) -> str | None:
-    cfg = _resolve_grid(params, x.size)
-    curve = dcca_fluctuation(x, y, cfg)
-    doc["scales"] = [int(s) for s in curve.scales]
-    doc["values"] = [float(v) for v in curve.values]
-    try:
-        fit = _fit_scaling(curve.scales, curve.values, divisor=2.0)
-    except EstimationFailed as exc:
-        return str(exc)
-    doc.update(estimate=fit.exponent, stderr=fit.stderr, r2=fit.r_squared)
-    doc["diagnostics"] = dict(fit.diagnostics)
-    doc["plot"] = _plot_block(curve.scales, np.abs(curve.values), fit.intercept, 2.0 * fit.exponent)
+    doc["plot"] = _plot_block(jf.scales, np.abs(values), fit.intercept, 2.0 * fit.exponent)
     return None
 
 
@@ -319,6 +284,8 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
     values = est.values
     if params.get("n_freqs") is not None:
         n = int(params["n_freqs"])
+        if n < 1:
+            raise InvalidInput(f"--nfreqs must be at least 1, got {n}")
         freqs, values = freqs[:n], values[:n]
     doc["scales"] = [float(f) for f in freqs]
     doc["values"] = [float(v) for v in values]
@@ -331,15 +298,14 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
 
 
 def _analyze_hrho(x, y, params, doc) -> str | None:
-    cfg = _resolve_grid(params, x.size)
+    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
     n = _resolve_n_freqs_param(params, x.size)
     failures: dict = {}
-    pairs = rho_dcca(x, y, cfg)
-    doc["scales"] = [s for s, _ in pairs]
-    doc["values"] = [v for _, v in pairs]
+    doc["scales"] = [int(s) for s in jf.scales]
+    doc["values"] = [float(r) for r in jf.rho()]
     time_fit = freq_fit = None
     try:
-        time_fit = _rho_decay_fit(pairs)
+        time_fit = rho_decay(jf)
     except EstimationFailed as exc:
         failures["time"] = str(exc)
     try:
@@ -373,9 +339,8 @@ def _analyze_report(x, y, params, doc) -> str | None:
     )
     rep = coherency_report(x, y, settings)
     if "h_rho_time" not in rep.failures:
-        pairs = rho_dcca(x, y, cfg)
-        doc["scales"] = [s for s, _ in pairs]
-        doc["values"] = [v for _, v in pairs]
+        doc["scales"] = [s for s, _ in rep.rho_curve]
+        doc["values"] = [r for _, r in rep.rho_curve]
     doc["estimate"] = rep.h_rho_diff
     doc["channels"] = {
         "h_x": fit_to_dict(rep.h_x),
@@ -394,8 +359,8 @@ def _analyze_report(x, y, params, doc) -> str | None:
 
 
 _ANALYZE_FN = {
-    "dfa": _analyze_dfa,
-    "dcca": _analyze_dcca,
+    "dfa": _analyze_scaling,
+    "dcca": _analyze_scaling,
     "rho": _analyze_rho,
     "beta": _analyze_beta,
     "coherency": _analyze_coherency,
@@ -476,30 +441,6 @@ _MC_KEYS = {
 }
 
 
-def _config_from_echo(echo: dict) -> ExperimentConfig:
-    spec = echo["spec"]
-    return ExperimentConfig(
-        spec=McArfimaSpec(
-            alpha=spec["alpha"], beta=spec["beta"], gamma=spec["gamma"],
-            delta=spec["delta"], d1=spec["d1"], d2=spec["d2"], d3=spec["d3"],
-            d4=spec["d4"], sigma=np.asarray(spec["sigma"], dtype=float),
-            innovation_dist=spec["innovation_dist"], dof=spec["dof"],
-            truncation=spec["truncation"], burn_in=spec["burn_in"],
-        ),
-        lengths=tuple(echo["lengths"]),
-        replications=echo["replications"],
-        estimators=tuple(echo["estimators"]),
-        master_seed=echo["master_seed"],
-        label=echo["label"],
-        poly_order=echo["poly_order"],
-        n_scales=echo["n_scales"],
-        n_freqs=echo["n_freqs"],
-        bandwidth=echo["bandwidth"],
-        scale_min=echo["scale_min"],
-        scale_max=echo["scale_max"],
-    )
-
-
 def _sweep_summary_doc(sweep: dict) -> dict:
     return {
         "subcommand": "mc",
@@ -522,7 +463,8 @@ def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
         )
         params["configs"] = [c.echo() for c in configs]
     else:
-        configs = [_config_from_echo(params["config_echo"])]
+        echo = params["config_echo"]
+        configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(echo["spec"])})]
     tolerance = params["tolerance"]
     seeds = sorted({c.master_seed for c in configs})
 
@@ -713,7 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     freqs = argparse.ArgumentParser(add_help=False)
     freqs.add_argument(
         "--nfreqs", type=int,
-        help="number of lowest Fourier frequencies (default: floor(sqrt(T)))",
+        help=(
+            "number of lowest Fourier frequencies (default: all T/2 for coherency; "
+            "floor(sqrt(T)), at least 8, for hrho and report)"
+        ),
     )
     freqs.add_argument(
         "--bandwidth", type=int, default=11,

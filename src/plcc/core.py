@@ -20,7 +20,6 @@ from .errors import (
 
 __all__ = [
     "TimeSeries",
-    "Profile",
     "ScalingFit",
     "FluctuationCurve",
     "series_values",
@@ -72,20 +71,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
-class Profile:
-    """Cumulative sum of a de-meaned series (the partial-sum process)."""
-
-    values: np.ndarray
-    source_length: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size != self.source_length:
-            raise InvalidInput("profile length must match the source series length")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,7 @@ class FluctuationCurve:
 # =========================================================================
 
 
-def profile(x) -> Profile:
+def profile(x) -> np.ndarray:
     """Integrate a series into its partial-sum profile.
 
     The sample mean is removed first, so the profile ends at (numerically)
@@ -154,8 +139,7 @@ def profile(x) -> Profile:
     v = series_values(x)
     if v.size < 2:
         raise InvalidInput("profile requires at least two observations")
-    p = np.cumsum(v - v.mean())
-    return Profile(values=p, source_length=int(v.size))
+    return np.cumsum(v - v.mean())
 
 
 def sample_ccf(x, y, max_lag: int) -> list[tuple[int, float]]:

@@ -26,6 +26,7 @@ from .errors import (
 
 __all__ = [
     "DetrendConfig",
+    "JointFluctuations",
     "min_scale_for_order",
     "default_scale_grid",
     "dfa_fluctuation",
@@ -138,52 +139,119 @@ def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
     return boxes - (boxes @ q) @ q.T
 
 
-def _check_series(v: np.ndarray, cfg: DetrendConfig) -> None:
-    if v.std() == 0.0:
-        raise DegenerateInput("detrended statistics are undefined for a zero-variance series")
-    t = v.size
-    if t < 4 * int(cfg.scale_grid[0]):
-        raise SeriesTooShort(
-            f"length {t} is below 4x the smallest scale {int(cfg.scale_grid[0])}"
-        )
-    if int(cfg.scale_grid[-1]) > t // 5:
-        raise InvalidInput(
-            f"largest scale {int(cfg.scale_grid[-1])} exceeds T/5 = {t // 5}"
-        )
+_ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
 
 
-def _joint_fluctuations(x, y, cfg: DetrendConfig):
-    """Scales plus pooled second moments (F2_x, F2_y, F2_xy) of box residuals.
+class JointFluctuations:
+    """One box pass over a series, or a pair, on one shared box layout.
 
-    ``y`` may be None for the univariate case. Using one box layout for all
-    three curves is what makes the correlation coefficient built from them
-    obey the Cauchy-Schwarz bound scale by scale.
+    ``scales`` is the grid of ``cfg``; ``fxx``, ``fyy`` and ``fxy`` are the
+    pooled second moments F2_x, F2_y and F2_xy of the box residuals at those
+    scales. With ``y`` None the pass is univariate and all three curves are
+    F2_x. Using one box layout for all three curves is what makes the
+    correlation coefficient built from them obey the Cauchy-Schwarz bound
+    scale by scale.
+
+    The readers (:meth:`hurst_x`, :meth:`hurst_y`, :meth:`hxy`, :meth:`rho`,
+    :meth:`beta`) turn the curves into the detrended statistics. An
+    undefined statistic does not stop the pass: reading a curve of a
+    zero-variance side raises :class:`DegenerateInput`, and every curve
+    raises when the grid does not fit the series length, so the other side
+    of a pair stays readable.
     """
-    vx = series_values(x)
-    vy = None if y is None else series_values(y)
-    if vy is not None and vy.size != vx.size:
-        raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
-    _check_series(vx, cfg)
-    if vy is not None and vy.std() == 0.0:
-        raise DegenerateInput("detrended statistics are undefined for a zero-variance series")
-    px = profile(vx).values
-    py = px if vy is None else profile(vy).values
-    k = cfg.scale_grid.size
-    fxx = np.empty(k)
-    fyy = np.empty(k)
-    fxy = np.empty(k)
-    for i, s in enumerate(cfg.scale_grid):
-        rx = _box_residuals(px, int(s), cfg.poly_order)
-        ry = rx if py is px else _box_residuals(py, int(s), cfg.poly_order)
-        # box statistic = mean squared residual; curve value = mean over boxes
-        fxx[i] = (rx * rx).mean(axis=1).mean()
-        if ry is rx:
-            fyy[i] = fxx[i]
-            fxy[i] = fxx[i]
-        else:
-            fyy[i] = (ry * ry).mean(axis=1).mean()
-            fxy[i] = (rx * ry).mean(axis=1).mean()
-    return cfg.scale_grid, fxx, fyy, fxy
+
+    def __init__(self, x, y, cfg: DetrendConfig):
+        vx = series_values(x)
+        vy = vx if y is None else series_values(y)
+        if vy.size != vx.size:
+            raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
+        t = vx.size
+        grid_error = None
+        if t < 4 * int(cfg.scale_grid[0]):
+            grid_error = SeriesTooShort(
+                f"length {t} is below 4x the smallest scale {int(cfg.scale_grid[0])}"
+            )
+        elif int(cfg.scale_grid[-1]) > t // 5:
+            grid_error = InvalidInput(
+                f"largest scale {int(cfg.scale_grid[-1])} exceeds T/5 = {t // 5}"
+            )
+        # Why each side's curve is undefined, or None. A zero variance is
+        # reported before a grid that does not fit, as for a lone series.
+        self._error_x = DegenerateInput(_ZERO_VARIANCE) if vx.std() == 0.0 else grid_error
+        self._error_y = self._error_x
+        if y is not None:
+            self._error_y = DegenerateInput(_ZERO_VARIANCE) if vy.std() == 0.0 else grid_error
+        self.scales = cfg.scale_grid
+        self._fxx = self._fyy = self._fxy = None
+        if grid_error is not None:
+            return
+        px = profile(vx)
+        py = px if y is None else profile(vy)
+        k = cfg.scale_grid.size
+        fxx = np.empty(k)
+        fyy = np.empty(k)
+        fxy = np.empty(k)
+        for i, s in enumerate(cfg.scale_grid):
+            rx = _box_residuals(px, int(s), cfg.poly_order)
+            ry = rx if py is px else _box_residuals(py, int(s), cfg.poly_order)
+            # box statistic = mean squared residual; curve value = mean over boxes
+            fxx[i] = (rx * rx).mean(axis=1).mean()
+            if ry is rx:
+                fyy[i] = fxx[i]
+                fxy[i] = fxx[i]
+            else:
+                fyy[i] = (ry * ry).mean(axis=1).mean()
+                fxy[i] = (rx * ry).mean(axis=1).mean()
+        self._fxx, self._fyy, self._fxy = fxx, fyy, fxy
+
+    @property
+    def fxx(self) -> np.ndarray:
+        """Detrended variance curve F2_x(s)."""
+        if self._error_x is not None:
+            raise self._error_x
+        return self._fxx
+
+    @property
+    def fyy(self) -> np.ndarray:
+        """Detrended variance curve F2_y(s)."""
+        if self._error_y is not None:
+            raise self._error_y
+        return self._fyy
+
+    @property
+    def fxy(self) -> np.ndarray:
+        """Detrended covariance curve F2_xy(s); may change sign."""
+        for error in (self._error_x, self._error_y):
+            if error is not None:
+                raise error
+        return self._fxy
+
+    def hurst_x(self) -> ScalingFit:
+        """Memory exponent H_x: half the log-log slope of F2_x."""
+        return _fit_scaling(self.scales, self.fxx, divisor=2.0)
+
+    def hurst_y(self) -> ScalingFit:
+        """Memory exponent H_y: half the log-log slope of F2_y."""
+        return _fit_scaling(self.scales, self.fyy, divisor=2.0)
+
+    def hxy(self) -> ScalingFit:
+        """Cross-memory exponent H_xy: half the log-log slope of |F2_xy|."""
+        return _fit_scaling(self.scales, self.fxy, divisor=2.0)
+
+    def rho(self) -> np.ndarray:
+        """Scale-specific correlation F2_xy / sqrt(F2_x F2_y), within [-1, 1]."""
+        fxy = self.fxy
+        fxx, fyy = self._fxx, self._fyy
+        if np.any(fxx <= 0) or np.any(fyy <= 0):
+            raise DegenerateInput("zero detrended variance at some scale")
+        return np.clip(fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
+
+    def beta(self) -> np.ndarray:
+        """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses."""
+        fxy = self.fxy
+        if np.any(self._fxx <= 0):
+            raise DegenerateInput("zero detrended variance of the regressor at some scale")
+        return fxy / self._fxx
 
 
 # =========================================================================
@@ -193,8 +261,8 @@ def _joint_fluctuations(x, y, cfg: DetrendConfig):
 
 def dfa_fluctuation(x, cfg: DetrendConfig) -> FluctuationCurve:
     """Detrended variance curve F2(s); grows as ``s**(2H)``."""
-    scales, fxx, _, _ = _joint_fluctuations(x, None, cfg)
-    return FluctuationCurve(scales=scales, values=fxx, kind="dfa")
+    jf = JointFluctuations(x, None, cfg)
+    return FluctuationCurve(scales=jf.scales, values=jf.fxx, kind="dfa")
 
 
 def dcca_fluctuation(x, y, cfg: DetrendConfig) -> FluctuationCurve:
@@ -203,8 +271,8 @@ def dcca_fluctuation(x, y, cfg: DetrendConfig) -> FluctuationCurve:
     Bilinear in its inputs and reduces exactly to :func:`dfa_fluctuation`
     when both arguments hold the same values.
     """
-    scales, _, _, fxy = _joint_fluctuations(x, y, cfg)
-    return FluctuationCurve(scales=scales, values=fxy, kind="dcca")
+    jf = JointFluctuations(x, y, cfg)
+    return FluctuationCurve(scales=jf.scales, values=jf.fxy, kind="dcca")
 
 
 # =========================================================================
@@ -239,8 +307,7 @@ def _fit_scaling(scales, values, divisor: float, min_points: int = 3) -> Scaling
 
 def estimate_hurst_dfa(x, cfg: DetrendConfig) -> ScalingFit:
     """Memory exponent H from the slope of log F2(s) on log s, divided by 2."""
-    curve = dfa_fluctuation(x, cfg)
-    return _fit_scaling(curve.scales, curve.values, divisor=2.0)
+    return JointFluctuations(x, None, cfg).hurst_x()
 
 
 def estimate_hxy_dcca(x, y, cfg: DetrendConfig) -> ScalingFit:
@@ -252,14 +319,7 @@ def estimate_hxy_dcca(x, y, cfg: DetrendConfig) -> ScalingFit:
     Frequent alternations mean the power-law reading is not trustworthy (a
     stably negative curve, e.g. for anti-correlated pairs, is fine).
     """
-    curve = dcca_fluctuation(x, y, cfg)
-    return _fit_scaling(curve.scales, curve.values, divisor=2.0)
-
-
-def _rho_values(fxx: np.ndarray, fyy: np.ndarray, fxy: np.ndarray) -> np.ndarray:
-    if np.any(fxx <= 0) or np.any(fyy <= 0):
-        raise DegenerateInput("zero detrended variance at some scale")
-    return np.clip(fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
+    return JointFluctuations(x, y, cfg).hxy()
 
 
 def rho_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
@@ -268,9 +328,8 @@ def rho_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
     Shares one box layout across the three curves, so every coefficient lies
     in [-1, 1] (clipping absorbs at most floating-point rounding).
     """
-    scales, fxx, fyy, fxy = _joint_fluctuations(x, y, cfg)
-    rho = _rho_values(fxx, fyy, fxy)
-    return [(int(s), float(r)) for s, r in zip(scales, rho)]
+    jf = JointFluctuations(x, y, cfg)
+    return [(int(s), float(r)) for s, r in zip(jf.scales, jf.rho())]
 
 
 def beta_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
@@ -279,8 +338,5 @@ def beta_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
     ``x`` is the regressor. Invariant under adding a constant to either
     series and scales linearly in ``y``.
     """
-    scales, fxx, _, fxy = _joint_fluctuations(x, y, cfg)
-    if np.any(fxx <= 0):
-        raise DegenerateInput("zero detrended variance of the regressor at some scale")
-    beta = fxy / fxx
-    return [(int(s), float(b)) for s, b in zip(scales, beta)]
+    jf = JointFluctuations(x, y, cfg)
+    return [(int(s), float(b)) for s, b in zip(jf.scales, jf.beta())]

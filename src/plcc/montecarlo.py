@@ -9,6 +9,7 @@ than aborting the experiment.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -16,16 +17,15 @@ from typing import Iterable
 import numpy as np
 
 from .arfima import McArfimaSpec, generate_mc_arfima
-from .detrended import (
-    DetrendConfig,
-    _fit_scaling,
-    _joint_fluctuations,
-    _rho_values,
-    default_scale_grid,
+from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
+from .errors import EstimationFailed, InvalidInput, InvalidParameter, PlccError
+from .powerlaw import h_rho_frequency, rho_decay
+from .spectral import (
+    estimate_h_logperiodogram,
+    estimate_hxy_logcross,
+    resolve_n_freqs,
+    validate_bandwidth,
 )
-from .errors import EstimationFailed, InvalidParameter, PlccError
-from .powerlaw import _fit_power_decay, h_rho_frequency
-from .spectral import estimate_h_logperiodogram, estimate_hxy_logcross
 
 __all__ = [
     "ESTIMATORS",
@@ -161,6 +161,12 @@ class ExperimentConfig:
             and int(self.scale_min) >= int(self.scale_max)
         ):
             raise InvalidParameter("scale_min must be smaller than scale_max")
+        validate_bandwidth(self.bandwidth)
+        if self.n_freqs is not None:
+            try:
+                resolve_n_freqs(self.n_freqs, min(self.lengths))
+            except InvalidInput as exc:
+                raise InvalidParameter(str(exc)) from None
 
     @property
     def measurements(self) -> tuple[str, ...]:
@@ -252,109 +258,62 @@ class ExperimentResult:
         }
 
 
+def _gated_hxy(jf: JointFluctuations, length: int) -> float:
+    """H_xy behind the sign-stability and null-band gates described above."""
+    fit = jf.hxy()
+    scales = jf.scales
+    changes = fit.diagnostics["sign_changes"]
+    if changes > len(scales) * SIGN_STABILITY_FRACTION:
+        raise EstimationFailed(
+            f"cross-fluctuation sign unstable: {changes} alternations "
+            f"over {len(scales)} scales"
+        )
+    rho = np.abs(jf.rho())
+    informative = scales <= length // 32
+    if np.count_nonzero(informative) >= 3:
+        band = NULL_BAND_FACTOR * np.sqrt(scales[informative] / (2.0 * length))
+        inside = rho[informative] < band
+        if inside.mean() > NULL_CONSISTENT_FRACTION:
+            raise EstimationFailed(
+                "cross-correlation magnitude indistinguishable from "
+                f"zero on {int(inside.sum())} of "
+                f"{int(inside.size)} informative scales"
+            )
+    return fit.exponent
+
+
 def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict]:
     """All requested measurements for one generated pair."""
-    values: dict = {}
-    failures: dict = {}
-
-    def run(names: Iterable[str], fn):
-        names = tuple(names)
-        try:
-            out = fn()
-        except PlccError as exc:
-            for name in names:
-                failures[name] = str(exc)
-            return
-        for name, val in zip(names, out):
-            values[name] = float(val)
-
-    tokens = cfg.estimators
     fluct = None
-    if _FLUCTUATION_TOKENS & set(tokens):
+    if _FLUCTUATION_TOKENS & set(cfg.estimators):
         grid = default_scale_grid(
             length, cfg.poly_order, cfg.n_scales, cfg.scale_min, cfg.scale_max
         )
         grid_cfg = DetrendConfig(grid, cfg.poly_order)
+        # one pass serves every detrended measurement; a pass that raises
+        # fails each of them with its reason
+        fluct = functools.cache(lambda: JointFluctuations(x, y, grid_cfg))
+    readers = {
+        "dfa_hx": lambda: fluct().hurst_x().exponent,
+        "dfa_hy": lambda: fluct().hurst_y().exponent,
+        "dcca_hxy": lambda: _gated_hxy(fluct(), length),
+        "rho_median": lambda: np.median(fluct().rho()),
+        "beta_median": lambda: np.median(fluct().beta()),
+        "h_rho_time": lambda: rho_decay(fluct()).exponent,
+        "logperiodogram_hx": lambda: estimate_h_logperiodogram(x, cfg.n_freqs).exponent,
+        "logperiodogram_hy": lambda: estimate_h_logperiodogram(y, cfg.n_freqs).exponent,
+        "logcross_hxy": lambda: estimate_hxy_logcross(
+            x, y, cfg.n_freqs, cfg.bandwidth
+        ).exponent,
+        "h_rho_freq": lambda: h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent,
+    }
+    values: dict = {}
+    failures: dict = {}
+    for name in cfg.measurements:
         try:
-            fluct = _joint_fluctuations(x, y, grid_cfg)
+            values[name] = float(readers[name]())
         except PlccError as exc:
-            for tok in _FLUCTUATION_TOKENS & set(tokens):
-                for name in ESTIMATORS[tok]:
-                    failures[name] = str(exc)
-
-    for tok in tokens:
-        if tok in _FLUCTUATION_TOKENS and fluct is None:
-            continue
-        if tok == "dfa":
-            scales, fxx, fyy, _ = fluct
-            run(("dfa_hx",), lambda: (_fit_scaling(scales, fxx, 2.0).exponent,))
-            run(("dfa_hy",), lambda: (_fit_scaling(scales, fyy, 2.0).exponent,))
-        elif tok == "dcca":
-            scales, fxx, fyy, fxy = fluct
-
-            def hxy_gated():
-                fit = _fit_scaling(scales, fxy, 2.0)
-                changes = fit.diagnostics.get("sign_changes", 0)
-                if changes > len(scales) * SIGN_STABILITY_FRACTION:
-                    raise EstimationFailed(
-                        f"cross-fluctuation sign unstable: {changes} alternations "
-                        f"over {len(scales)} scales"
-                    )
-                rho = np.abs(_rho_values(fxx, fyy, fxy))
-                informative = scales <= length // 32
-                if np.count_nonzero(informative) >= 3:
-                    band = NULL_BAND_FACTOR * np.sqrt(
-                        scales[informative] / (2.0 * length)
-                    )
-                    inside = rho[informative] < band
-                    if inside.mean() > NULL_CONSISTENT_FRACTION:
-                        raise EstimationFailed(
-                            "cross-correlation magnitude indistinguishable from "
-                            f"zero on {int(inside.sum())} of "
-                            f"{int(inside.size)} informative scales"
-                        )
-                return (fit.exponent,)
-
-            run(("dcca_hxy",), hxy_gated)
-        elif tok == "rho":
-            scales, fxx, fyy, fxy = fluct
-            run(("rho_median",), lambda: (np.median(_rho_values(fxx, fyy, fxy)),))
-        elif tok == "beta":
-            scales, fxx, _, fxy = fluct
-
-            def beta_median():
-                if np.any(fxx <= 0):
-                    raise PlccError("zero detrended variance of the regressor")
-                return (np.median(fxy / fxx),)
-
-            run(("beta_median",), beta_median)
-        elif tok == "h_rho_time":
-            scales, fxx, fyy, fxy = fluct
-
-            def rho_decay():
-                rho = _rho_values(fxx, fyy, fxy)
-                return (_fit_power_decay(scales, rho * rho, divisor=4.0).exponent,)
-
-            run(("h_rho_time",), rho_decay)
-        elif tok == "logperiodogram":
-            run(
-                ("logperiodogram_hx",),
-                lambda: (estimate_h_logperiodogram(x, cfg.n_freqs).exponent,),
-            )
-            run(
-                ("logperiodogram_hy",),
-                lambda: (estimate_h_logperiodogram(y, cfg.n_freqs).exponent,),
-            )
-        elif tok == "logcross":
-            run(
-                ("logcross_hxy",),
-                lambda: (estimate_hxy_logcross(x, y, cfg.n_freqs, cfg.bandwidth).exponent,),
-            )
-        elif tok == "h_rho_freq":
-            run(
-                ("h_rho_freq",),
-                lambda: (h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent,),
-            )
+            failures[name] = str(exc)
     return values, failures
 
 

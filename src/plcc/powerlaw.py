@@ -18,15 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ScalingFit, fit_loglog, series_values
-from .detrended import (
-    DetrendConfig,
-    default_scale_grid,
-    estimate_hurst_dfa,
-    estimate_hxy_dcca,
-    rho_dcca,
-)
+from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import EstimationFailed, InvalidParameter, PlccError
-from .spectral import _resolve_n_freqs, _validate_bandwidth, coherency
+from .spectral import coherency, resolve_n_freqs, validate_bandwidth
 
 __all__ = [
     "REGIME_STANDARD",
@@ -36,6 +30,7 @@ __all__ = [
     "CoherencyReport",
     "h_rho_frequency",
     "h_rho_time",
+    "rho_decay",
     "classify",
     "coherency_report",
 ]
@@ -67,9 +62,9 @@ def h_rho_frequency(x, y, n_freqs: int | None = None, bandwidth: int = 11) -> Sc
     and divides the slope by -4. Zero ordinates are dropped (reported as
     ``diagnostics["dropped_zero"]``); fewer than 5 survivors fail.
     """
-    b = _validate_bandwidth(bandwidth)
+    b = validate_bandwidth(bandwidth)
     vx = series_values(x)
-    n = _resolve_n_freqs(n_freqs, vx.size)
+    n = resolve_n_freqs(n_freqs, vx.size)
     est = coherency(vx, y, b)
     return _fit_power_decay(est.frequencies[:n], est.values[:n], divisor=-4.0)
 
@@ -84,14 +79,13 @@ def h_rho_time(x, y, cfg: DetrendConfig | None = None) -> ScalingFit:
     vx = series_values(x)
     if cfg is None:
         cfg = DetrendConfig(default_scale_grid(vx.size))
-    pairs = rho_dcca(vx, y, cfg)
-    return _rho_decay_fit(pairs)
+    return rho_decay(JointFluctuations(vx, y, cfg))
 
 
-def _rho_decay_fit(pairs: list[tuple[int, float]]) -> ScalingFit:
-    scales = np.array([s for s, _ in pairs], dtype=float)
-    rho2 = np.array([r * r for _, r in pairs])
-    return _fit_power_decay(scales, rho2, divisor=4.0)
+def rho_decay(jf: JointFluctuations) -> ScalingFit:
+    """The :func:`h_rho_time` fit read from an existing fluctuation pass."""
+    rho = jf.rho()
+    return _fit_power_decay(jf.scales, rho * rho, divisor=4.0)
 
 
 def classify(hx: float, hy: float, hxy: float, tol: float = 0.05) -> str:
@@ -128,7 +122,7 @@ class CoherencySettings:
     tolerance: float = 0.05
 
     def __post_init__(self):
-        _validate_bandwidth(self.bandwidth)
+        validate_bandwidth(self.bandwidth)
         if not self.tolerance > 0:
             raise InvalidParameter("tolerance must be positive")
 
@@ -138,8 +132,10 @@ class CoherencyReport:
     """Three-channel power-law coherency summary for one pair of series.
 
     Channels that fail carry None, with the reason recorded in ``failures``
-    under the field name. ``rho_at_max_scale`` is reported for inspection
-    only; a strongly negative value is not a cointegration claim.
+    under the field name. ``rho_curve`` holds the ``(scale, rho)`` pairs the
+    time-domain channel was fitted on, or None when they are undefined.
+    ``rho_at_max_scale`` is reported for inspection only; a strongly
+    negative value is not a cointegration claim.
     """
 
     h_x: ScalingFit | None
@@ -152,14 +148,15 @@ class CoherencyReport:
     rho_at_max_scale: float | None
     settings: CoherencySettings
     failures: dict = field(default_factory=dict)
+    rho_curve: list[tuple[int, float]] | None = None
 
 
 def coherency_report(x, y, settings: CoherencySettings | None = None) -> CoherencyReport:
     """Estimate all three decay channels plus the regime for one pair.
 
-    The regime comes from :func:`classify` applied to the detrended
-    exponents, so it is only available when H_x, H_y and H_xy all estimate
-    cleanly.
+    Every detrended channel reads one :class:`JointFluctuations` pass. The
+    regime comes from :func:`classify` applied to the detrended exponents,
+    so it is only available when H_x, H_y and H_xy all estimate cleanly.
     """
     vx = series_values(x)
     vy = series_values(y)
@@ -177,25 +174,26 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
 
     if cfg is None:
         cfg = attempt("h_x", lambda: DetrendConfig(default_scale_grid(vx.size)))
-        if cfg is None:
-            failures.setdefault("h_y", failures["h_x"])
-            failures.setdefault("h_xy", failures["h_x"])
-            failures.setdefault("h_rho_time", failures["h_x"])
+    jf = attempt("h_x", JointFluctuations, vx, vy, cfg) if cfg is not None else None
 
-    h_x = attempt("h_x", estimate_hurst_dfa, vx, cfg) if cfg is not None else None
-    h_y = attempt("h_y", estimate_hurst_dfa, vy, cfg) if cfg is not None else None
-    h_xy = attempt("h_xy", estimate_hxy_dcca, vx, vy, cfg) if cfg is not None else None
+    def read(name, reader):
+        # without a pass every detrended channel fails for the reason h_x did
+        if jf is None:
+            failures.setdefault(name, failures["h_x"])
+            return None
+        return attempt(name, reader, jf)
+
+    h_x = read("h_x", JointFluctuations.hurst_x)
+    h_y = read("h_y", JointFluctuations.hurst_y)
+    h_xy = read("h_xy", JointFluctuations.hxy)
     h_rho_freq = attempt(
         "h_rho_freq", h_rho_frequency, vx, vy, settings.n_freqs, settings.bandwidth
     )
-
-    h_rho_time_fit = None
-    rho_at_max = None
-    if cfg is not None:
-        pairs = attempt("h_rho_time", rho_dcca, vx, vy, cfg)
-        if pairs is not None:
-            rho_at_max = pairs[-1][1]
-            h_rho_time_fit = attempt("h_rho_time", _rho_decay_fit, pairs)
+    rho = read("h_rho_time", JointFluctuations.rho)
+    rho_curve = h_rho_time_fit = None
+    if rho is not None:
+        rho_curve = [(int(s), float(r)) for s, r in zip(jf.scales, rho)]
+        h_rho_time_fit = attempt("h_rho_time", rho_decay, jf)
 
     h_rho_diff = None
     regime = None
@@ -211,7 +209,8 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
         h_rho_time=h_rho_time_fit,
         h_rho_diff=h_rho_diff,
         regime=regime,
-        rho_at_max_scale=rho_at_max,
+        rho_at_max_scale=None if rho_curve is None else rho_curve[-1][1],
         settings=settings,
         failures=failures,
+        rho_curve=rho_curve,
     )

@@ -145,7 +145,8 @@ def cross_periodogram(x, y) -> SpectralEstimate:
 # =========================================================================
 
 
-def _validate_bandwidth(bandwidth) -> int:
+def validate_bandwidth(bandwidth) -> int:
+    """The smoothing bandwidth as an int; it must be odd and at least 3."""
     b = int(bandwidth)
     if b != bandwidth or b < 3 or b % 2 == 0:
         raise InvalidParameter(f"bandwidth must be an odd integer >= 3, got {bandwidth!r}")
@@ -176,7 +177,7 @@ def coherency(x, y, bandwidth: int = 11) -> SpectralEstimate:
     obeys the Cauchy-Schwarz bound and lands in [0, 1]; bands where both
     smoothed spectra carry no power report zero.
     """
-    b = _validate_bandwidth(bandwidth)
+    b = validate_bandwidth(bandwidth)
     vx = _checked(x)
     vy = _checked(y)
     if vx.size != vy.size:
@@ -213,7 +214,8 @@ def default_n_freqs(length: int) -> int:
     return max(8, math.isqrt(int(length)))
 
 
-def _resolve_n_freqs(n_freqs, length: int) -> int:
+def resolve_n_freqs(n_freqs, length: int) -> int:
+    """Regression band size: ``n_freqs`` checked against [8, T/4], or the default."""
     n = default_n_freqs(length) if n_freqs is None else int(n_freqs)
     if n_freqs is not None and n != n_freqs:
         raise InvalidInput("n_freqs must be an integer")
@@ -248,7 +250,7 @@ def estimate_h_logperiodogram(x, n_freqs: int | None = None) -> ScalingFit:
     estimate stable under heavy-tailed innovations.
     """
     v = _checked(x)
-    n = _resolve_n_freqs(n_freqs, v.size)
+    n = resolve_n_freqs(n_freqs, v.size)
     est = periodogram(v)
     return _memory_fit(est.frequencies[:n], est.values[:n])
 
@@ -259,12 +261,12 @@ def estimate_hxy_logcross(x, y, n_freqs: int | None = None, bandwidth: int = 11)
     The complex cross-ordinates are smoothed first and the magnitude is taken
     afterwards; magnitude-then-smooth would not vanish for incoherent pairs.
     """
-    b = _validate_bandwidth(bandwidth)
+    b = validate_bandwidth(bandwidth)
     vx = _checked(x)
     vy = _checked(y)
     if vx.size != vy.size:
         raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
-    n = _resolve_n_freqs(n_freqs, vx.size)
+    n = resolve_n_freqs(n_freqs, vx.size)
     est = cross_periodogram(vx, vy)
     sm = _flat_smooth_complex(est.values, b)
     mag = np.hypot(sm.real, sm.imag)

@@ -21,8 +21,7 @@ from plcc.cli import main
 from plcc.core import fit_loglog
 from plcc.detrended import (
     DetrendConfig,
-    _fit_scaling,
-    _joint_fluctuations,
+    JointFluctuations,
     beta_dcca,
     dcca_fluctuation,
     default_scale_grid,
@@ -72,11 +71,10 @@ def anti_run():
     for rep in range(100):
         pair = generate_mc_arfima(spec, t, split_seed(303, rep))
         x, y = pair.x.values, pair.y.values
-        scales, fxx, fyy, _ = _joint_fluctuations(x, y, full_grid)
-        hx = _fit_scaling(scales, fxx, 2.0).exponent
-        hy = _fit_scaling(scales, fyy, 2.0).exponent
-        c_scales, c_fxx, c_fyy, c_fxy = _joint_fluctuations(x, y, cap_grid)
-        hxy = _fit_scaling(c_scales, c_fxy, 2.0).exponent
+        full = JointFluctuations(x, y, full_grid)
+        hx = full.hurst_x().exponent
+        hy = full.hurst_y().exponent
+        hxy = JointFluctuations(x, y, cap_grid).hxy().exponent
         out["hx"].append(hx)
         out["hy"].append(hy)
         out["hxy"].append(hxy)

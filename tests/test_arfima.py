@@ -1,5 +1,6 @@
 """Fractional-integration weights, innovation streams and pair generation."""
 
+import json
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ def _sigma(pairs=None):
 
 
 def test_weights_first_terms():
-    w = arfima_weights(0.4, 6).weights
+    w = arfima_weights(0.4, 6)
     assert w[0] == 1.0
     assert w[1] == 0.4
     assert w[5] == pytest.approx(0.16755, abs=5e-5)
@@ -44,7 +45,7 @@ def test_weights_match_gamma_ratio_oracle():
     # the log magnitude, the overall sign is that of 1/Gamma(d) since the
     # other two factors are positive for n >= 1
     for d in (0.45, 0.3, 0.1, -0.2, -0.45):
-        w = arfima_weights(d, 50).weights
+        w = arfima_weights(d, 50)
         sign = 1.0 if d > 0 else -1.0
         for n in range(1, 50):
             mag = math.exp(math.lgamma(n + d) - math.lgamma(n + 1) - math.lgamma(d))
@@ -52,13 +53,13 @@ def test_weights_match_gamma_ratio_oracle():
 
 
 def test_weights_d_zero_tail_vanishes():
-    w = arfima_weights(0.0, 10).weights
+    w = arfima_weights(0.0, 10)
     assert w[0] == 1.0
     assert np.all(w[1:] == 0.0)
 
 
 def test_weights_negative_d_starts_negative():
-    w = arfima_weights(-0.3, 4).weights
+    w = arfima_weights(-0.3, 4)
     assert w[1] == -0.3
     assert w[2] > 0 or w[2] < 0  # finite
     assert np.isfinite(w).all()
@@ -75,7 +76,7 @@ def test_weights_validation():
 
 def test_weights_hyperbolic_decay_rate():
     # a_n ~ n^(d-1) / Gamma(d); check the log-log slope over a decade
-    w = arfima_weights(0.4, 2000).weights
+    w = arfima_weights(0.4, 2000)
     ratio = w[1000] / w[100]
     assert math.log(ratio) / math.log(10.0) == pytest.approx(0.4 - 1.0, abs=0.01)
 
@@ -173,17 +174,28 @@ def test_spec_component_weights_order():
 
 def test_spec_to_dict_roundtrip():
     spec = McArfimaSpec(1, 0.5, 1, 0, 0.3, 0.1, 0.2, 0, _sigma({(1, 3): 0.4}))
-    d = spec.to_dict()
-    rebuilt = McArfimaSpec(
-        alpha=d["alpha"], beta=d["beta"], gamma=d["gamma"], delta=d["delta"],
-        d1=d["d1"], d2=d["d2"], d3=d["d3"], d4=d["d4"],
-        sigma=np.asarray(d["sigma"]), innovation_dist=d["innovation_dist"],
-        dof=d["dof"], truncation=d["truncation"], burn_in=d["burn_in"],
-    )
+    rebuilt = McArfimaSpec.from_dict(spec.to_dict())
     pair_a = generate_mc_arfima(spec, 128, 5)
     pair_b = generate_mc_arfima(rebuilt, 128, 5)
     assert np.array_equal(pair_a.x.values, pair_b.x.values)
     assert np.array_equal(pair_a.y.values, pair_b.y.values)
+
+
+@pytest.mark.parametrize("resolved", [False, True])
+@pytest.mark.parametrize("dist,dof", [(GAUSSIAN, None), (STUDENT_T, 3.0)])
+def test_spec_from_dict_inverts_to_dict(dist, dof, resolved):
+    # through JSON, as a manifest stores it; 1/3 and 0.1 have no exact
+    # binary form, so any rounding in the trip would show in sigma's bits
+    sigma = _sigma({(1, 3): 1 / 3, (2, 4): 0.1})
+    spec = McArfimaSpec(
+        1.0, 0.5, 0.7, 0.0, 0.4, 0.1, 0.3, -0.2, sigma, innovation_dist=dist, dof=dof
+    )
+    if resolved:
+        spec = spec.resolved(1000)
+    back = McArfimaSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert back.to_dict() == spec.to_dict()
+    assert back.sigma.tobytes() == spec.sigma.tobytes()
+    assert (back.truncation, back.burn_in) == (spec.truncation, spec.burn_in)
 
 
 # =========================================================================
@@ -202,7 +214,7 @@ def test_fft_filter_matches_direct_convolution():
     base = 123
     out = generate_arfima(d, t, base, truncation=trunc, burn_in=burn)
     stream = np.random.default_rng(base).standard_normal(trunc + burn + t)
-    w = arfima_weights(d, trunc + 1).weights
+    w = arfima_weights(d, trunc + 1)
     direct = np.convolve(stream, w)[trunc : trunc + burn + t][burn:]
     assert np.allclose(out.values, direct, rtol=1e-10, atol=1e-12)
 

@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from plcc.arfima import generate_arfima
 from plcc.cli import main
+from plcc.detrended import DetrendConfig, default_scale_grid, estimate_hurst_dfa, rho_dcca
 from plcc.errors import EstimationFailed
-from plcc.fileio import sha256_file
+from plcc.fileio import read_series_csv, sha256_file, write_series_csv
+from plcc.powerlaw import coherency_report
 
 GEN_CFG = """
 length = 1024
@@ -192,13 +195,20 @@ def test_beta_midrange_estimate(tmp_path, pair_csv):
     assert doc["diagnostics"]["mid_scales"][0] >= doc["scales"][0]
 
 
-def test_coherency_document(tmp_path, pair_csv):
+def test_coherency_document(tmp_path, pair_csv, capsys):
     out = str(tmp_path / "c.json")
     assert main(["coherency", pair_csv, "--bandwidth", "21", "--out", out]) == 0
     doc = json.load(open(out))
     assert doc["diagnostics"]["bandwidth"] == 21
     assert all(0.0 <= v <= 1.0 for v in doc["values"])
+    assert len(doc["values"]) == 512  # every frequency up to T/2 by default
     assert main(["coherency", pair_csv, "--bandwidth", "8"]) == 2
+    assert main(["coherency", pair_csv, "--nfreqs", "5", "--out", out]) == 0
+    assert len(json.load(open(out))["values"]) == 5
+    # a count below one is refused, not sliced from the top or emptied
+    assert main(["coherency", pair_csv, "--nfreqs", "-3", "--out", out]) == 2
+    assert main(["coherency", pair_csv, "--nfreqs", "0", "--out", out]) == 2
+    assert "--nfreqs must be at least 1" in capsys.readouterr().err
 
 
 def test_report_document(tmp_path, pair_csv):
@@ -214,13 +224,61 @@ def test_report_document(tmp_path, pair_csv):
     assert doc["manifest"]["parameters"]["tolerance"] == 0.05
 
 
+def test_report_makes_one_fluctuation_pass(tmp_path, pair_csv, monkeypatch):
+    # every detrended channel, and the rho curve the document records, reads
+    # one box pass: one profile per series
+    import plcc.detrended as detrended
+
+    profiles = []
+    real_profile = detrended.profile
+    monkeypatch.setattr(detrended, "profile", lambda v: profiles.append(1) or real_profile(v))
+    out = str(tmp_path / "rep.json")
+    assert main(["report", pair_csv, "--out", out]) == 0
+    assert len(profiles) == 2
+    doc = json.load(open(out))
+    x, y = read_series_csv(pair_csv)
+    cfg = DetrendConfig(doc["manifest"]["parameters"]["scale_grid"])
+    assert list(zip(doc["scales"], doc["values"])) == rho_dcca(x, y, cfg)
+
+
+@pytest.mark.parametrize("constant", ["x", "y"])
+def test_report_with_a_constant_side_keeps_per_channel_outcome(tmp_path, constant):
+    # the live side is fitted exactly as on its own; every channel that
+    # reads the constant side fails with its zero-variance reason
+    t = 4096
+    live = generate_arfima(0.3, t, 17).values
+    const = np.full(t, 1.5)
+    x, y = (const, live) if constant == "x" else (live, const)
+    path = str(tmp_path / "pair.csv")
+    write_series_csv(path, x, y)
+    out = str(tmp_path / "rep.json")
+    assert main(["report", path, "--out", out]) == 4
+    zero = "detrended statistics are undefined for a zero-variance series"
+    failures = {
+        f"h_{constant}": zero,
+        "h_xy": zero,
+        "h_rho_time": zero,
+        "h_rho_freq": "spectral statistics are undefined for a zero-variance series",
+    }
+    doc = json.load(open(out))
+    assert doc["diagnostics"]["failures"] == failures
+    assert doc["regime"] is None and doc["rho_at_max_scale"] is None
+
+    live_name = "h_y" if constant == "x" else "h_x"
+    rep = coherency_report(x, y)
+    assert rep.failures == failures
+    fit = estimate_hurst_dfa(live, DetrendConfig(default_scale_grid(t)))
+    assert getattr(rep, live_name) == fit
+    assert doc["channels"][live_name]["estimate"] == fit.exponent
+
+
 def test_estimation_failure_writes_partial_document(tmp_path, pair_csv, capsys, monkeypatch):
-    import plcc.cli as climod
+    from plcc.detrended import JointFluctuations
 
     def boom(*a, **k):
         raise EstimationFailed("no usable scaling range")
 
-    monkeypatch.setattr(climod, "_fit_scaling", boom)
+    monkeypatch.setattr(JointFluctuations, "hxy", boom)
     out = str(tmp_path / "partial.json")
     assert main(["dcca", pair_csv, "--out", out]) == 4
     assert "partial result written" in capsys.readouterr().err
@@ -343,6 +401,12 @@ def test_mc_config_errors(tmp_path, capsys):
     )
     assert main(["mc", bad_est, "--out-dir", str(tmp_path / "o")]) == 2
     assert "mystery" in capsys.readouterr().err
+
+    # a bandwidth the spectral estimators reject fails before any replication
+    bad_bw = _write(tmp_path / "m5.cfg", MC_SINGLE_CFG + "mc.bandwidth = 4\n")
+    assert main(["mc", bad_bw, "--out-dir", str(tmp_path / "o5")]) == 2
+    assert "bandwidth must be an odd integer" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o5")
 
 
 def test_mc_suite_replay_identical_across_jobs(tmp_path):

@@ -58,19 +58,18 @@ def test_timeseries_is_read_only():
 def test_profile_hand_example():
     # mean of (2, 4, 6) is 4; cumulative sums of (-2, 0, 2)
     p = profile([2.0, 4.0, 6.0])
-    assert p.values.tolist() == [-2.0, -2.0, 0.0]
-    assert p.source_length == 3
+    assert p.tolist() == [-2.0, -2.0, 0.0]
 
 
 def test_profile_ends_near_zero():
     x = np.random.default_rng(11).standard_normal(1000)
     p = profile(x)
-    assert abs(p.values[-1]) < 1e-9 * np.abs(x).sum()
+    assert abs(p[-1]) < 1e-9 * np.abs(x).sum()
 
 
 def test_profile_constant_series_is_all_zero():
     p = profile(np.full(64, 3.25))
-    assert np.all(p.values == 0.0)
+    assert np.all(p == 0.0)
 
 
 def test_profile_needs_two_observations():

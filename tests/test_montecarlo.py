@@ -110,6 +110,15 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**ok, "scale_min": 40, "scale_max": 40})
     with pytest.raises(InvalidParameter):
         ExperimentConfig(**{**ok, "scale_max": 0})
+    # the spectral estimators' own rules, checked before any generation:
+    # an odd bandwidth of at least 3, and 8 <= n_freqs <= min(lengths) // 4
+    for bandwidth in (4, 1, 11.5):
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(**{**ok, "bandwidth": bandwidth})
+    for n_freqs in (4, 0, 129):
+        with pytest.raises(InvalidParameter):
+            ExperimentConfig(**{**ok, "n_freqs": n_freqs, "lengths": (1024, 512)})
+    ExperimentConfig(**{**ok, "n_freqs": 128, "bandwidth": 3})
 
 
 def test_measurements_expansion():
@@ -215,6 +224,20 @@ def test_independent_pair_cross_fit_is_gated():
     assert res.degraded
     # the marginals are unaffected
     assert res.cell("dfa_hx", 8192).n_failed == 0
+
+
+def test_silent_side_leaves_the_other_marginal_measured():
+    # y is identically zero: every measurement that reads it fails, while
+    # H_x comes from its own curve of the same pass, as estimate_hurst_dfa
+    # reads it
+    spec = McArfimaSpec(1, 0, 0, 0, 0.3, 0.0, 0.0, 0.0, _sigma())
+    res = run_experiment(ExperimentConfig(
+        spec=spec, lengths=(512,), replications=3,
+        estimators=("dfa", "dcca", "rho"), master_seed=3,
+    ))
+    assert res.cell("dfa_hx", 512).n_failed == 0
+    for name in ("dfa_hy", "dcca_hxy", "rho_median"):
+        assert res.cell(name, 512).n_completed == 0
 
 
 # =========================================================================

@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_mc_arfima
-from plcc.errors import InvalidParameter
-from plcc.montecarlo import split_seed
+from plcc.detrended import (
+    DetrendConfig,
+    beta_dcca,
+    default_scale_grid,
+    estimate_hurst_dfa,
+    estimate_hxy_dcca,
+    rho_dcca,
+)
+from plcc.errors import InvalidParameter, PlccError
+from plcc.montecarlo import ExperimentConfig, run_experiment, split_seed
 from plcc.powerlaw import (
     CoherencySettings,
     classify,
@@ -171,3 +181,60 @@ def test_report_echoes_settings():
     settings = CoherencySettings(bandwidth=21, tolerance=0.1)
     rep_out = coherency_report(x, y, settings)
     assert rep_out.settings is settings
+
+
+# =========================================================================
+# one fluctuation pass, read by every consumer
+# =========================================================================
+
+
+def _outcome(fn, *args):
+    """A fit or value, or the message of the error that replaced it."""
+    try:
+        return fn(*args)
+    except PlccError as exc:
+        return str(exc)
+
+
+def _channel(report, name):
+    fit = getattr(report, name)
+    return report.failures[name] if fit is None else fit
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(512, 4096),
+    order=st.integers(1, 2),
+)
+def test_report_and_mc_equal_standalone_estimators(seed, length, order):
+    # the report's single pass and the Monte Carlo reads must reproduce the
+    # standalone estimators bit for bit, fit diagnostics included
+    spec = _standard_spec()
+    cfg = DetrendConfig(default_scale_grid(length, order), order)
+    pair = generate_mc_arfima(spec, length, seed)
+    x, y = pair.x.values, pair.y.values
+    rep = coherency_report(x, y, CoherencySettings(detrend=cfg))
+    assert _channel(rep, "h_x") == _outcome(estimate_hurst_dfa, x, cfg)
+    assert _channel(rep, "h_y") == _outcome(estimate_hurst_dfa, y, cfg)
+    assert _channel(rep, "h_xy") == _outcome(estimate_hxy_dcca, x, y, cfg)
+    assert _channel(rep, "h_rho_time") == _outcome(h_rho_time, x, y, cfg)
+    assert rep.rho_at_max_scale == rho_dcca(x, y, cfg)[-1][1]
+
+    mc_cfg = ExperimentConfig(
+        spec=spec, lengths=(length,), replications=2, master_seed=seed,
+        estimators=("dfa", "rho", "beta", "h_rho_time"), poly_order=order,
+    )
+    res = run_experiment(mc_cfg)
+    for r in range(2):
+        pair = generate_mc_arfima(spec, length, split_seed(seed, r))
+        px, py = pair.x.values, pair.y.values
+        library = {
+            "dfa_hx": estimate_hurst_dfa(px, cfg).exponent,
+            "dfa_hy": estimate_hurst_dfa(py, cfg).exponent,
+            "rho_median": float(np.median([v for _, v in rho_dcca(px, py, cfg)])),
+            "beta_median": float(np.median([v for _, v in beta_dcca(px, py, cfg)])),
+            "h_rho_time": h_rho_time(px, py, cfg).exponent,
+        }
+        for name, value in library.items():
+            assert res.samples(name, length)[r] == value, name
