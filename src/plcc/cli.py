@@ -58,7 +58,7 @@ from .montecarlo import (
     standard_regimes,
 )
 from .powerlaw import CoherencySettings, coherency_report, h_rho_frequency, rho_decay
-from .spectral import coherency, default_n_freqs
+from .spectral import coherency, default_n_freqs, resolve_n_freqs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,9 +141,11 @@ def _resolve_grid(params: dict, length: int) -> DetrendConfig:
 
 
 def _resolve_n_freqs_param(params: dict, length: int) -> int:
+    """The regression band size; an explicit value must lie in [8, T/4]."""
     if params.get("n_freqs") is None:
         params["n_freqs"] = default_n_freqs(length)
-    return int(params["n_freqs"])
+        return params["n_freqs"]
+    return resolve_n_freqs(params["n_freqs"], length)
 
 
 # =========================================================================
@@ -298,8 +300,9 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
 
 
 def _analyze_hrho(x, y, params, doc) -> str | None:
-    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
+    cfg = _resolve_grid(params, x.size)
     n = _resolve_n_freqs_param(params, x.size)
+    jf = JointFluctuations(x, y, cfg)
     failures: dict = {}
     doc["scales"] = [int(s) for s in jf.scales]
     doc["values"] = [float(r) for r in jf.rho()]
@@ -454,7 +457,6 @@ def _sweep_summary_doc(sweep: dict) -> dict:
 
 def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
     out_dir = params["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     if params["mode"] == "suite":
         configs = standard_regimes(
             length=params["length"],
@@ -465,6 +467,7 @@ def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
     else:
         echo = params["config_echo"]
         configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(echo["spec"])})]
+    os.makedirs(out_dir, exist_ok=True)
     tolerance = params["tolerance"]
     seeds = sorted({c.master_seed for c in configs})
 

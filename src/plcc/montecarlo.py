@@ -162,11 +162,16 @@ class ExperimentConfig:
         ):
             raise InvalidParameter("scale_min must be smaller than scale_max")
         validate_bandwidth(self.bandwidth)
-        if self.n_freqs is not None:
-            try:
+        # what the estimators would refuse mid-run fails the config instead:
+        # the frequency band, and the scale grid at every length
+        try:
+            if self.n_freqs is not None:
                 resolve_n_freqs(self.n_freqs, min(self.lengths))
-            except InvalidInput as exc:
-                raise InvalidParameter(str(exc)) from None
+            if _FLUCTUATION_TOKENS & set(self.estimators):
+                for length in self.lengths:
+                    _detrend_config(self, length)
+        except (InvalidInput, ValueError) as exc:
+            raise InvalidParameter(str(exc)) from None
 
     @property
     def measurements(self) -> tuple[str, ...]:
@@ -282,14 +287,19 @@ def _gated_hxy(jf: JointFluctuations, length: int) -> float:
     return fit.exponent
 
 
+def _detrend_config(cfg: ExperimentConfig, length: int) -> DetrendConfig:
+    """The scale grid and order the detrended estimators use at ``length``."""
+    grid = default_scale_grid(
+        length, cfg.poly_order, cfg.n_scales, cfg.scale_min, cfg.scale_max
+    )
+    return DetrendConfig(grid, cfg.poly_order)
+
+
 def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict]:
     """All requested measurements for one generated pair."""
     fluct = None
     if _FLUCTUATION_TOKENS & set(cfg.estimators):
-        grid = default_scale_grid(
-            length, cfg.poly_order, cfg.n_scales, cfg.scale_min, cfg.scale_max
-        )
-        grid_cfg = DetrendConfig(grid, cfg.poly_order)
+        grid_cfg = _detrend_config(cfg, length)
         # one pass serves every detrended measurement; a pass that raises
         # fails each of them with its reason
         fluct = functools.cache(lambda: JointFluctuations(x, y, grid_cfg))

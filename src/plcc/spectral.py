@@ -3,7 +3,8 @@ log-periodogram memory estimators.
 
 All ordinates live on the Fourier frequencies ``2 pi j / T`` for
 ``j = 1 .. T // 2``; the zero frequency is excluded throughout. The
-normalization is ``1 / (2 pi T)``.
+normalization is ``1 / (2 pi T)``. Every statistic reads the de-meaned DFTs
+from one checked step, and each ordinate kind has one formula.
 """
 
 from __future__ import annotations
@@ -85,29 +86,39 @@ def _fourier_frequencies(t: int) -> np.ndarray:
     return _TWO_PI * np.arange(1, t // 2 + 1) / t
 
 
-def _checked(x, min_length: int = 16) -> np.ndarray:
-    v = series_values(x)
-    if v.size < min_length:
-        raise SeriesTooShort(f"need at least {min_length} observations, got {v.size}")
-    if v.std() == 0.0:
-        raise DegenerateInput("spectral statistics are undefined for a zero-variance series")
-    return v
+def _dfts(*series) -> tuple[int, list[np.ndarray]]:
+    """The one checked-DFT step that every spectral statistic reads.
 
-
-def _demeaned_dft(v: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(v - v.mean())[1:]
-
-
-def _cross_parts(dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ``dx * conj(dy)`` via real arithmetic.
-
-    Spelled out componentwise so that the self-pair case reproduces the
-    auto ordinates bit for bit; numpy's complex multiply may contract with
-    FMA, which leaves a one-ulp residue in the imaginary part.
+    Checks each series in turn (at least 16 observations, nonzero variance),
+    then that a pair has equal lengths, and returns T with the DFT of each
+    de-meaned series at the positive Fourier frequencies.
     """
+    values = []
+    for s in series:
+        v = series_values(s)
+        if v.size < 16:
+            raise SeriesTooShort(f"need at least 16 observations, got {v.size}")
+        if v.std() == 0.0:
+            raise DegenerateInput("spectral statistics are undefined for a zero-variance series")
+        values.append(v)
+    t = values[0].size
+    if values[-1].size != t:
+        raise InvalidInput(f"series lengths differ: {t} vs {values[-1].size}")
+    return t, [np.fft.rfft(v - v.mean())[1:] for v in values]
+
+
+def _cross_parts(dx: np.ndarray, dy: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``dx * conj(dy) / (2 pi T)`` via real arithmetic.
+
+    The auto ordinates are the real part of the self-pair. The product is
+    spelled out componentwise so that the self-pair case reproduces
+    ``|dx|^2`` bit for bit; numpy's complex multiply may contract with FMA,
+    which leaves a one-ulp residue in the imaginary part.
+    """
+    norm = _TWO_PI * t
     re = dx.real * dy.real + dx.imag * dy.imag
     im = dx.imag * dy.real - dx.real * dy.imag
-    return re, im
+    return re / norm, im / norm
 
 
 def periodogram(x) -> SpectralEstimate:
@@ -118,10 +129,8 @@ def periodogram(x) -> SpectralEstimate:
     for a memory exponent H the ordinates decay as ``freq**(1 - 2H)`` toward
     the origin.
     """
-    v = _checked(x)
-    d = _demeaned_dft(v)
-    values = (d.real**2 + d.imag**2) / (_TWO_PI * v.size)
-    return SpectralEstimate(_fourier_frequencies(v.size), values, "auto")
+    t, (d,) = _dfts(x)
+    return SpectralEstimate(_fourier_frequencies(t), _cross_parts(d, d, t)[0], "auto")
 
 
 def cross_periodogram(x, y) -> SpectralEstimate:
@@ -130,14 +139,9 @@ def cross_periodogram(x, y) -> SpectralEstimate:
     With ``y`` equal to ``x`` this reduces exactly to the periodogram (zero
     phase); swapping the arguments conjugates the values.
     """
-    vx = _checked(x)
-    vy = _checked(y)
-    if vx.size != vy.size:
-        raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
-    re, im = _cross_parts(_demeaned_dft(vx), _demeaned_dft(vy))
-    norm = _TWO_PI * vx.size
-    values = re / norm + 1j * (im / norm)
-    return SpectralEstimate(_fourier_frequencies(vx.size), values, "cross")
+    t, (dx, dy) = _dfts(x, y)
+    re, im = _cross_parts(dx, dy, t)
+    return SpectralEstimate(_fourier_frequencies(t), re + 1j * im, "cross")
 
 
 # =========================================================================
@@ -164,8 +168,10 @@ def _flat_smooth(values: np.ndarray, bandwidth: int) -> np.ndarray:
     return (c[hi] - c[lo]) / (hi - lo)
 
 
-def _flat_smooth_complex(values: np.ndarray, bandwidth: int) -> np.ndarray:
-    return _flat_smooth(values.real, bandwidth) + 1j * _flat_smooth(values.imag, bandwidth)
+def _smoothed_cross(dx: np.ndarray, dy: np.ndarray, t: int, bandwidth: int):
+    """Cross ordinates with real and imaginary parts flat-smoothed apart."""
+    re, im = _cross_parts(dx, dy, t)
+    return _flat_smooth(re, bandwidth), _flat_smooth(im, bandwidth)
 
 
 def coherency(x, y, bandwidth: int = 11) -> SpectralEstimate:
@@ -178,30 +184,16 @@ def coherency(x, y, bandwidth: int = 11) -> SpectralEstimate:
     smoothed spectra carry no power report zero.
     """
     b = validate_bandwidth(bandwidth)
-    vx = _checked(x)
-    vy = _checked(y)
-    if vx.size != vy.size:
-        raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
-    if vx.std() == 0.0 or vy.std() == 0.0:
-        raise DegenerateInput("coherency is undefined for a zero-variance series")
-    t = vx.size
-    dx = _demeaned_dft(vx)
-    dy = _demeaned_dft(vy)
-    norm = _TWO_PI * t
-    cross_re, cross_im = _cross_parts(dx, dy)
-    auto_x = (dx.real**2 + dx.imag**2) / norm
-    auto_y = (dy.real**2 + dy.imag**2) / norm
-    sre = _flat_smooth(cross_re / norm, b)
-    sim = _flat_smooth(cross_im / norm, b)
-    sx = _flat_smooth(auto_x, b)
-    sy = _flat_smooth(auto_y, b)
+    t, (dx, dy) = _dfts(x, y)
+    sre, sim = _smoothed_cross(dx, dy, t, b)
+    sx = _flat_smooth(_cross_parts(dx, dx, t)[0], b)
+    sy = _flat_smooth(_cross_parts(dy, dy, t)[0], b)
     num = sre**2 + sim**2
     den = sx * sy
     k2 = np.zeros_like(num)
     live = den > 0
     k2[live] = num[live] / den[live]
-    k2 = np.clip(k2, 0.0, 1.0)
-    return SpectralEstimate(_fourier_frequencies(t), k2, "coherency", b)
+    return SpectralEstimate(_fourier_frequencies(t), np.clip(k2, 0.0, 1.0), "coherency", b)
 
 
 # =========================================================================
@@ -249,10 +241,9 @@ def estimate_h_logperiodogram(x, n_freqs: int | None = None) -> ScalingFit:
     ``floor(sqrt(T))``). Moment-free on the log scale, which keeps the
     estimate stable under heavy-tailed innovations.
     """
-    v = _checked(x)
-    n = resolve_n_freqs(n_freqs, v.size)
-    est = periodogram(v)
-    return _memory_fit(est.frequencies[:n], est.values[:n])
+    t, (d,) = _dfts(x)
+    n = resolve_n_freqs(n_freqs, t)
+    return _memory_fit(_fourier_frequencies(t)[:n], _cross_parts(d, d, t)[0][:n])
 
 
 def estimate_hxy_logcross(x, y, n_freqs: int | None = None, bandwidth: int = 11) -> ScalingFit:
@@ -262,14 +253,9 @@ def estimate_hxy_logcross(x, y, n_freqs: int | None = None, bandwidth: int = 11)
     afterwards; magnitude-then-smooth would not vanish for incoherent pairs.
     """
     b = validate_bandwidth(bandwidth)
-    vx = _checked(x)
-    vy = _checked(y)
-    if vx.size != vy.size:
-        raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
-    n = resolve_n_freqs(n_freqs, vx.size)
-    est = cross_periodogram(vx, vy)
-    sm = _flat_smooth_complex(est.values, b)
-    mag = np.hypot(sm.real, sm.imag)
-    fit = _memory_fit(est.frequencies[:n], mag[:n])
+    t, (dx, dy) = _dfts(x, y)
+    n = resolve_n_freqs(n_freqs, t)
+    sre, sim = _smoothed_cross(dx, dy, t, b)
+    fit = _memory_fit(_fourier_frequencies(t)[:n], np.hypot(sre, sim)[:n])
     fit.diagnostics["bandwidth"] = b
     return fit

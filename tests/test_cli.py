@@ -211,6 +211,19 @@ def test_coherency_document(tmp_path, pair_csv, capsys):
     assert "--nfreqs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["hrho", "report"])
+def test_nfreqs_outside_the_band_is_a_usage_error(tmp_path, pair_csv, capsys, sub):
+    # an explicit --nfreqs is checked against [8, T/4] before any estimation:
+    # exit 2 and no document, for both subcommands alike
+    out = str(tmp_path / f"{sub}.json")
+    for n in ("4", "257"):
+        assert main([sub, pair_csv, "--nfreqs", n, "--out", out]) == 2
+        assert f"n_freqs must lie in [8, T/4] = [8, 256], got {n}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    assert main([sub, pair_csv, "--nfreqs", "256", "--out", out]) in (0, 4)
+    assert json.load(open(out))["manifest"]["parameters"]["n_freqs"] == 256
+
+
 def test_report_document(tmp_path, pair_csv):
     out = str(tmp_path / "rep.json")
     code = main(["report", pair_csv, "--out", out])
@@ -407,6 +420,18 @@ def test_mc_config_errors(tmp_path, capsys):
     assert main(["mc", bad_bw, "--out-dir", str(tmp_path / "o5")]) == 2
     assert "bandwidth must be an odd integer" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o5")
+
+    # so does a scale grid that cannot be built at one of the lengths
+    bad_grid = _write(tmp_path / "m6.cfg", MC_SINGLE_CFG + "mc.scale_min = 200\n")
+    assert main(["mc", bad_grid, "--out-dir", str(tmp_path / "o6")]) == 2
+    assert "length 512 leaves no admissible scales" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o6")
+    short_suite = _write(
+        tmp_path / "m7.cfg", "mc.suite = standard-regimes\nmc.length = 512\nmc.replications = 2\n"
+    )
+    assert main(["mc", short_suite, "--out-dir", str(tmp_path / "o7")]) == 2
+    assert "leaves no admissible scales" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o7")
 
 
 def test_mc_suite_replay_identical_across_jobs(tmp_path):

@@ -119,6 +119,28 @@ def test_experiment_config_validation():
         with pytest.raises(InvalidParameter):
             ExperimentConfig(**{**ok, "n_freqs": n_freqs, "lengths": (1024, 512)})
     ExperimentConfig(**{**ok, "n_freqs": 128, "bandwidth": 3})
+    # a detrended grid that cannot be built at some length fails the config
+    # before any generation; a spectral-only config does not build one
+    bad_grids = [
+        ({"scale_min": 200}, "leaves no admissible scales"),
+        ({"n_scales": 3}, "fewer than 5 distinct scales"),
+        ({"n_scales": -1}, "must be non-negative"),
+        ({"scale_min": 11, "scale_max": 12}, "fewer than 5 distinct scales"),
+        ({"poly_order": -1}, "poly_order must be a non-negative integer"),
+        ({"poly_order": 1.5}, "poly_order must be a non-negative integer"),
+    ]
+    for extra, message in bad_grids:
+        with pytest.raises(InvalidParameter, match=message):
+            ExperimentConfig(**{**ok, **extra})
+        with pytest.raises(InvalidParameter, match=message):
+            ExperimentConfig(**{**ok, **extra, "estimators": ("logcross", "rho")})
+        with pytest.raises(InvalidParameter, match=message):
+            ExperimentConfig(**{**ok, **extra, "lengths": (8192, 512)})
+        ExperimentConfig(**{**ok, **extra, "estimators": ("logperiodogram",)})
+    # the anti-cointegration cap T // 64 leaves fewer than 5 scales below 1024
+    with pytest.raises(InvalidParameter, match="fewer than 5 distinct scales"):
+        standard_regimes(length=1023, replications=2)
+    assert len(standard_regimes(length=1024, replications=2)) == 5
 
 
 def test_measurements_expansion():

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_arfima, generate_mc_arfima
 from plcc.core import fit_loglog
-from plcc.errors import DegenerateInput, InvalidInput, InvalidParameter
+from plcc.errors import (
+    DegenerateInput,
+    InvalidInput,
+    InvalidParameter,
+    PlccError,
+    SeriesTooShort,
+)
 from plcc.montecarlo import split_seed
+from plcc.powerlaw import h_rho_frequency
 from plcc.spectral import (
     coherency,
     cross_periodogram,
@@ -115,36 +124,68 @@ def spectra_pair():
     return rng.standard_normal(1024), rng.standard_normal(1024)
 
 
-def test_cross_self_equals_periodogram_bitwise(spectra_pair):
-    x, _ = spectra_pair
+# Seeds and lengths in [16, 4096], both parities; the explicit examples pin
+# the shortest and longest of each.
+_PAIR_DRAWS = dict(seed=st.integers(0, 2**32 - 1), length=st.integers(16, 4096))
+
+
+def _draw_pair(seed, length):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(length), rng.standard_normal(length)
+
+
+def _pair_examples(test):
+    for length in (16, 17, 4095, 4096):
+        test = example(seed=600, length=length)(test)
+    return settings(max_examples=50, deadline=None)(given(**_PAIR_DRAWS)(test))
+
+
+@_pair_examples
+def test_cross_self_equals_periodogram_bitwise(seed, length):
+    x, _ = _draw_pair(seed, length)
     auto = periodogram(x).values
     cross = cross_periodogram(x, x.copy()).values
     assert np.array_equal(cross.real, auto)
     assert np.all(cross.imag == 0.0)
 
 
-def test_cross_swap_conjugates_bitwise(spectra_pair):
-    x, y = spectra_pair
+@_pair_examples
+def test_cross_swap_conjugates_bitwise(seed, length):
+    x, y = _draw_pair(seed, length)
     fwd = cross_periodogram(x, y).values
     rev = cross_periodogram(y, x).values
     assert np.array_equal(fwd.real, rev.real)
     assert np.array_equal(fwd.imag, -rev.imag)
 
 
-def test_coherency_self_is_exactly_one(spectra_pair):
-    x, _ = spectra_pair
+@_pair_examples
+def test_coherency_self_is_exactly_one(seed, length):
+    x, _ = _draw_pair(seed, length)
     est = coherency(x, x.copy(), bandwidth=11)
     assert np.all(est.values == 1.0)
     assert est.kind == "coherency"
     assert est.smoothing_bandwidth == 11
 
 
-def test_coherency_symmetric_and_bounded(spectra_pair):
-    x, y = spectra_pair
+@_pair_examples
+def test_coherency_symmetric_and_bounded(seed, length):
+    x, y = _draw_pair(seed, length)
     fwd = coherency(x, y, bandwidth=11).values
     rev = coherency(y, x, bandwidth=11).values
     assert np.array_equal(fwd, rev)
     assert np.all((fwd >= 0.0) & (fwd <= 1.0))
+
+
+_WEIGHTS = st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= 0.25)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_PAIR_DRAWS, a=_WEIGHTS, b=_WEIGHTS)
+def test_cross_periodogram_bilinear_in_first_argument(seed, length, a, b):
+    x1, x2, y = np.random.default_rng(seed).standard_normal((3, length))
+    got = cross_periodogram(a * x1 + b * x2, y).values
+    want = a * cross_periodogram(x1, y).values + b * cross_periodogram(x2, y).values
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 def test_unsmoothed_ratio_is_identically_one(spectra_pair):
@@ -168,6 +209,82 @@ def test_bandwidth_validation(spectra_pair):
         cross_periodogram(x, y[:-1])
     with pytest.raises(DegenerateInput):
         periodogram(np.zeros(128))
+
+
+# The error contract of the six spectral entry points: which exception, with
+# which message, fires on each fault and on each pair of faults, so the order
+# of the checks is pinned too. Faults apply in the order listed.
+_FAULTS = {
+    "short": lambda a: {**a, "x": a["x"][:10], "y": a["y"][:10]},
+    "unequal": lambda a: {**a, "y": a["y"][:-1]},
+    "flat_x": lambda a: {**a, "x": np.zeros(a["x"].size)},
+    "flat_y": lambda a: {**a, "y": np.zeros(a["y"].size)},
+    "bandwidth": lambda a: {**a, "bandwidth": 4},
+    "n_freqs": lambda a: {**a, "n_freqs": 7},
+}
+_ENTRY_POINTS = (
+    lambda a: periodogram(a["x"]),
+    lambda a: cross_periodogram(a["x"], a["y"]),
+    lambda a: coherency(a["x"], a["y"], a["bandwidth"]),
+    lambda a: estimate_h_logperiodogram(a["x"], a["n_freqs"]),
+    lambda a: estimate_hxy_logcross(a["x"], a["y"], a["n_freqs"], a["bandwidth"]),
+    lambda a: h_rho_frequency(a["x"], a["y"], a["n_freqs"], a["bandwidth"]),
+)
+OK = None
+SHORT = (SeriesTooShort, "need at least 16 observations, got 10")
+FLAT = (DegenerateInput, "spectral statistics are undefined for a zero-variance series")
+UNEQUAL = (InvalidInput, "series lengths differ: 256 vs 255")
+BW = (InvalidParameter, "bandwidth must be an odd integer >= 3, got 4")
+N7 = (InvalidInput, "n_freqs must lie in [8, T/4] = [8, 64], got 7")
+N7_SHORT = (InvalidInput, "n_freqs must lie in [8, T/4] = [8, 2], got 7")
+N8_SHORT = (InvalidInput, "n_freqs must lie in [8, T/4] = [8, 2], got 8")
+# columns: periodogram, cross_periodogram, coherency,
+# estimate_h_logperiodogram, estimate_hxy_logcross, h_rho_frequency
+_ERROR_CONTRACT = {
+    "short": (SHORT, SHORT, SHORT, SHORT, SHORT, N8_SHORT),
+    "unequal": (OK, UNEQUAL, UNEQUAL, OK, UNEQUAL, UNEQUAL),
+    "flat_x": (FLAT, FLAT, FLAT, FLAT, FLAT, FLAT),
+    "flat_y": (OK, FLAT, FLAT, OK, FLAT, FLAT),
+    "bandwidth": (OK, OK, BW, OK, BW, BW),
+    "n_freqs": (OK, OK, OK, N7, N7, N7),
+    "short unequal": (SHORT, SHORT, SHORT, SHORT, SHORT, N8_SHORT),
+    "short flat_x": (SHORT, SHORT, SHORT, SHORT, SHORT, N8_SHORT),
+    "short flat_y": (SHORT, SHORT, SHORT, SHORT, SHORT, N8_SHORT),
+    "short bandwidth": (SHORT, SHORT, BW, SHORT, BW, BW),
+    "short n_freqs": (SHORT, SHORT, SHORT, SHORT, SHORT, N7_SHORT),
+    "unequal flat_x": (FLAT, FLAT, FLAT, FLAT, FLAT, FLAT),
+    "unequal flat_y": (OK, FLAT, FLAT, OK, FLAT, FLAT),
+    "unequal bandwidth": (OK, UNEQUAL, BW, OK, BW, BW),
+    "unequal n_freqs": (OK, UNEQUAL, UNEQUAL, N7, UNEQUAL, N7),
+    "flat_x flat_y": (FLAT, FLAT, FLAT, FLAT, FLAT, FLAT),
+    "flat_x bandwidth": (FLAT, FLAT, BW, FLAT, BW, BW),
+    "flat_x n_freqs": (FLAT, FLAT, FLAT, FLAT, FLAT, N7),
+    "flat_y bandwidth": (OK, FLAT, BW, OK, BW, BW),
+    "flat_y n_freqs": (OK, FLAT, FLAT, N7, FLAT, N7),
+    "bandwidth n_freqs": (OK, OK, BW, N7, BW, BW),
+}
+
+
+def test_error_contract_table():
+    rng = np.random.default_rng(2024)
+    base = {
+        "x": rng.standard_normal(256),
+        "y": rng.standard_normal(256),
+        "bandwidth": 11,
+        "n_freqs": None,
+    }
+    assert len(_ERROR_CONTRACT) == 21  # every fault alone and every pair
+    for case, expected in _ERROR_CONTRACT.items():
+        args = base
+        for fault in case.split():
+            args = _FAULTS[fault](args)
+        for call, want in zip(_ENTRY_POINTS, expected):
+            if want is OK:
+                call(args)
+                continue
+            with pytest.raises(PlccError) as info:
+                call(args)
+            assert (type(info.value), str(info.value)) == want, case
 
 
 # =========================================================================
