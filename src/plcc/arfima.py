@@ -245,19 +245,30 @@ class BivariateSeries:
     seed: int
 
 
-def _fft_convolve_tail(stream: np.ndarray, weights: np.ndarray, n_keep: int) -> np.ndarray:
-    """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples.
+def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int):
+    """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples,
+    for each of ``streams`` in turn.
 
     Equivalent to ``np.convolve(stream, weights)[len(weights)-1:][:n_keep]``
     but FFT-based; direct convolution is quadratic and unusable at the
-    default truncation lengths.
+    default truncation lengths. The streams share one length, so the weight
+    spectrum is taken once. Each result is a compact copy, and every
+    transform-sized array is released before the next transform, so the
+    peak memory stays that of one convolution.
     """
-    n_full = stream.size + weights.size - 1
+    n_full = streams[0].size + weights.size - 1
     n_fft = 1 << (n_full - 1).bit_length()
-    prod = np.fft.rfft(stream, n_fft) * np.fft.rfft(weights, n_fft)
-    full = np.fft.irfft(prod, n_fft)
+    spectrum = np.fft.rfft(weights, n_fft)
     start = weights.size - 1
-    return full[start : start + n_keep]
+    for k, stream in enumerate(streams, start=1):
+        prod = np.fft.rfft(stream, n_fft)
+        prod *= spectrum
+        if k == len(streams):
+            del spectrum
+        full = np.fft.irfft(prod, n_fft)
+        del prod
+        yield full[start : start + n_keep].copy()
+        del full
 
 
 def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,16 +287,17 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
         raise InvalidParameter(
             f"innovations must have shape (4, {needed}), got {innovations.shape}"
         )
-    tables: dict[float, np.ndarray] = {}
-    parts = []
-    for (weight, d), stream in zip(spec.component_weights(), innovations):
-        if weight == 0.0:
-            parts.append(np.zeros(length))
-            continue
-        if d not in tables:
-            tables[d] = arfima_weights(d, spec.truncation + 1)
-        filtered = _fft_convolve_tail(stream, tables[d], n_keep)
-        parts.append(weight * filtered[spec.burn_in :])
+    components = spec.component_weights()
+    by_d: dict[float, list[int]] = {}
+    for i, (weight, d) in enumerate(components):
+        if weight != 0.0:
+            by_d.setdefault(d, []).append(i)
+    parts = [np.zeros(length)] * 4
+    for d, active in by_d.items():
+        weights = arfima_weights(d, spec.truncation + 1)
+        streams = [innovations[i] for i in active]
+        for i, tail in zip(active, _fft_convolve_tail(streams, weights, n_keep)):
+            parts[i] = components[i][0] * tail[spec.burn_in :]
     return parts[0] + parts[1], parts[2] + parts[3]
 
 
@@ -356,5 +368,6 @@ def generate_arfima(
     n_keep = burn + n
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + n_keep)
     weights = arfima_weights(d, trunc + 1)
-    values = _fft_convolve_tail(stream, weights, n_keep)[burn:]
+    (tail,) = _fft_convolve_tail([stream], weights, n_keep)
+    values = tail[burn:]
     return TimeSeries(values, label=f"arfima(d={d:g})")

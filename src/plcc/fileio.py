@@ -42,9 +42,13 @@ _FLOAT_FMT = "%.17g"
 # CSV series files
 # =========================================================================
 
+# Rows rendered by one ``%`` in write_series_csv: enough to amortise the
+# call, few enough that the argument tuple stays small for any T.
+_WRITE_BLOCK = 1 << 14
 
-def _fmt(v: float) -> str:
-    return _FLOAT_FMT % float(v)
+# ASCII separators that numpy strips from a cell as whitespace and float()
+# does not (it strips only ASCII whitespace and maps non-ASCII spaces).
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 def write_series_csv(path, x, y=None) -> None:
@@ -58,15 +62,18 @@ def write_series_csv(path, x, y=None) -> None:
     vy = None if y is None else np.asarray(y, dtype=float)
     if vy is not None and vy.size != vx.size:
         raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
+    columns = [vx] if vy is None else [vx, vy]
+    width = 1 + len(columns)
+    row = "%d" + f",{_FLOAT_FMT}" * len(columns) + "\n"
     with open(path, "w", newline="\n") as fh:
-        if vy is None:
-            fh.write("t,x\n")
-            for t, a in enumerate(vx):
-                fh.write(f"{t},{_fmt(a)}\n")
-        else:
-            fh.write("t,x,y\n")
-            for t, (a, b) in enumerate(zip(vx, vy)):
-                fh.write(f"{t},{_fmt(a)},{_fmt(b)}\n")
+        fh.write("t,x\n" if vy is None else "t,x,y\n")
+        for start in range(0, vx.size, _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, vx.size)
+            cells = [None] * ((stop - start) * width)
+            cells[::width] = range(start, stop)
+            for k, v in enumerate(columns, start=1):
+                cells[k::width] = v[start:stop].tolist()
+            fh.write(row * (stop - start) % tuple(cells))
 
 
 def _is_numeric_row(row: list[str]) -> bool:
@@ -81,30 +88,70 @@ def _is_numeric_row(row: list[str]) -> bool:
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a ``t,x[,y]`` CSV; returns ``(x, y)`` with ``y`` None for 2 columns.
 
-    A header row is auto-detected by its first row failing to parse as
-    numbers. Every data row must have the same column count (2 or 3); the
-    time column is ignored beyond validation.
+    A header row is auto-detected by the first non-empty row failing to
+    parse as numbers. Blank lines are skipped. Every data row must have the
+    same column count (2 or 3); the time column is read but its values are
+    ignored. Errors name the physical line of the offending row.
     """
+    try:
+        data = _parse_numeric(path)
+    except (ValueError, csv.Error):
+        data = None
+    if data is None:
+        return _read_rows(path)
+    ys = data[:, 2].copy() if data.shape[1] == 3 else None
+    return data[:, 1].copy(), ys
+
+
+def _parse_numeric(path) -> np.ndarray | None:
+    """All data rows as one float array, read by numpy's C text parser.
+
+    Returns None, or raises ValueError, for every file that numpy would not
+    read exactly as :func:`_read_rows` does: numpy rejects quoted cells,
+    ``1_0`` and a non-numeric time column, and it accepts numbers padded with
+    the separators 0x1C-0x1F, which ``float`` rejects. Files without data
+    rows, or with a width other than 2 or 3, are left to the row loop and its
+    messages. Universal newlines give numpy ``\\n`` for the ``\\r\\n`` and
+    ``\\r`` that csv also ends rows on.
+    """
+    with open(path) as fh:
+        rows = csv.reader(fh)
+        first = next((row for row in rows if row), None)
+        skip = 0 if first is None or _is_numeric_row(first) else rows.line_num
+        # the first row is a header numpy skips or cells float() accepted,
+        # so only the rest needs the scan for separators
+        rest = fh.read()
+        blank = skip and not rest.strip("\n")
+        if first is None or blank or any(c in rest for c in _SEPARATORS):
+            return None
+        del rest
+        fh.seek(0)
+        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    return data if data.shape[1] in (2, 3) else None
+
+
+def _read_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row-by-row reader: the path for quoted cells, ``1_0`` and a non-numeric
+    time column, and the one whose errors name the physical line."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidInput(f"{path}: file holds no data rows")
     start = 0
-    if not _is_numeric_row(rows[0]):
+    if not _is_numeric_row(rows[0][1]):
         start = 1
     data = rows[start:]
     if not data:
         raise InvalidInput(f"{path}: file holds a header but no data rows")
-    width = len(data[0])
+    width = len(data[0][1])
     if width not in (2, 3):
         raise InvalidInput(
             f"{path}: expected 2 or 3 columns (t,x[,y]), got {width}"
         )
     xs = np.empty(len(data))
     ys = np.empty(len(data)) if width == 3 else None
-    for i, row in enumerate(data):
-        line_no = start + i + 1
+    for i, (line_no, row) in enumerate(data):
         if len(row) != width:
             raise InvalidInput(
                 f"{path}: line {line_no}: expected {width} columns, got {len(row)}"

@@ -219,6 +219,25 @@ def test_fft_filter_matches_direct_convolution():
     assert np.allclose(out.values, direct, rtol=1e-10, atol=1e-12)
 
 
+def test_filter_takes_one_weight_spectrum_per_distinct_d(monkeypatch):
+    # three live streams share d = 0.3 and the fourth is switched off: one
+    # rfft per stream plus one weight spectrum, and each side is still the
+    # weighted sum of direct convolutions
+    spec = McArfimaSpec(1, 0.5, 2, 0, 0.3, 0.3, 0.3, 0.1, np.eye(4),
+                        truncation=100, burn_in=16)
+    t = 64
+    eps = np.random.default_rng(5).standard_normal((4, 100 + 16 + t))
+    real_rfft = np.fft.rfft
+    calls = []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or real_rfft(*a, **k))
+    x, y = filter_mc_arfima(spec, eps, t)
+    assert len(calls) == 4
+    w = arfima_weights(0.3, 101)
+    tail = [np.convolve(e, w)[100 : 100 + 16 + t][16:] for e in eps]
+    assert np.allclose(x, tail[0] + 0.5 * tail[1], rtol=1e-10, atol=1e-12)
+    assert np.allclose(y, 2 * tail[2], rtol=1e-10, atol=1e-12)
+
+
 def test_generate_mc_arfima_x_side_matches_univariate():
     spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4))
     pair = generate_mc_arfima(spec, 512, 2024)

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec
 from plcc.core import fit_loglog
 from plcc.errors import InvalidInput, InvalidParameter
 from plcc.fileio import (
+    _WRITE_BLOCK,
     build_manifest,
     config_float,
     config_int,
@@ -99,6 +102,123 @@ def test_series_reader_errors(tmp_path):
 def test_series_writer_length_mismatch(tmp_path):
     with pytest.raises(InvalidInput, match="lengths differ"):
         write_series_csv(tmp_path / "m.csv", np.arange(4.0), np.arange(3.0))
+
+
+def _oracle_bytes(x, y=None):
+    # the row-by-row rendering the block writer must reproduce byte for byte
+    out = "t,x\n" if y is None else "t,x,y\n"
+    for t in range(x.size):
+        if y is None:
+            out += f"{t},{'%.17g' % float(x[t])}\n"
+        else:
+            out += f"{t},{'%.17g' % float(x[t])},{'%.17g' % float(y[t])}\n"
+    return out.encode()
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300]
+_CELLS = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1, max_size=40,
+)
+_LENGTHS = st.sampled_from(
+    [0, 1, 2, 7, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 3]
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells_x=_CELLS, cells_y=_CELLS, length=_LENGTHS, pair=st.booleans())
+def test_series_csv_bytes_and_roundtrip(tmp_path, cells_x, cells_y, length, pair):
+    x = np.resize(np.array(cells_x), length)
+    y = np.resize(np.array(cells_y), length) if pair else None
+    path = tmp_path / "p.csv"
+    write_series_csv(path, x, y)
+    assert path.read_bytes() == _oracle_bytes(x, y)
+    if length == 0:
+        with pytest.raises(InvalidInput, match="header but no data rows"):
+            read_series_csv(path)
+        return
+    rx, ry = read_series_csv(path)
+    assert (ry is None) == (y is None)
+    for back, orig in [(rx, x)] + ([] if y is None else [(ry, y)]):
+        nan = np.isnan(orig)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert np.array_equal(np.isnan(back), nan)
+        assert back[~nan].tobytes() == orig[~nan].tobytes()
+
+
+_NAN, _INF = math.nan, math.inf
+
+# (file text, expected (x, y) or (error type, message after "<path>: "))
+_READ_CONTRACT = {
+    "empty file": ("", (InvalidInput, "file holds no data rows")),
+    "only blank lines": ("\n\r\n\n", (InvalidInput, "file holds no data rows")),
+    "header only": ("t,x\n", (InvalidInput, "file holds a header but no data rows")),
+    "header and blank lines": (
+        "t,x,y\n\n\n", (InvalidInput, "file holds a header but no data rows")),
+    "one column": (
+        "t\n0\n1\n", (InvalidInput, "expected 2 or 3 columns (t,x[,y]), got 1")),
+    "four columns": (
+        "0,1,2,3\n", (InvalidInput, "expected 2 or 3 columns (t,x[,y]), got 4")),
+    "no header": ("0,1.5\n1,2.5\n", ([1.5, 2.5], None)),
+    "no header, pair": ("0,1.5,-1\n", ([1.5], [-1.0])),
+    "leading blank lines": ("\n\nt,x\n0,1\n", ([1.0], None)),
+    "interleaved blank lines": ("t,x,y\n0,1,2\n\n1,3,4\n\n", ([1.0, 3.0], [2.0, 4.0])),
+    "whitespace-only line": (
+        "t,x\n0,1\n \n1,2\n", (InvalidInput, "line 3: expected 2 columns, got 1")),
+    "whitespace-only first line is a header": (" \n0,1\n", ([1.0], None)),
+    "CRLF endings": ("t,x\r\n0,1\r\n1,2\r\n", ([1.0, 2.0], None)),
+    "CR-only endings": ("t,x\r0,1\r\r1,2\r", ([1.0, 2.0], None)),
+    "no final newline": ("t,x\n0,1\n1,2", ([1.0, 2.0], None)),
+    "form feed after a number": ("t,x\n0,1\f\n1,2\n", ([1.0, 2.0], None)),
+    "form feed line": ("t,x\n0,1\n\f\n", (InvalidInput, "line 3: expected 2 columns, got 1")),
+    "spaces around numbers": ("t,x\n0, 1 \n1,\t2\n", ([1.0, 2.0], None)),
+    "unit separator after a number": (
+        "t,x\n0,1\x1f\n",
+        (InvalidInput, "line 2: could not convert string to float: '1\\x1f'")),
+    "quoted cells": ('t,x\n0,"1.5"\n"1","-2"\n', ([1.5, -2.0], None)),
+    "quoted header": ('"t","x","y"\n0,1,2\n', ([1.0], [2.0])),
+    "underscore digits": ("t,x\n0,1_0\n", ([10.0], None)),
+    "nan and infinities": (
+        "t,x,y\n0,nan,-Infinity\n1,NaN,+inf\n", ([_NAN, _NAN], [-_INF, _INF])),
+    "trailing comma": (
+        "t,x\n0,1,\n", (InvalidInput, "line 2: could not convert string to float: ''")),
+    "ragged row": (
+        "t,x\n0,1\n1,2,3\n", (InvalidInput, "line 3: expected 2 columns, got 3")),
+    "hash inside a cell": (
+        "t,x\n0,1#c\n", (InvalidInput, "line 2: could not convert string to float: '1#c'")),
+    "non-numeric t column": ("t,x\na,1\nb,2\n", ([1.0, 2.0], None)),
+    "bad cell after a blank line": (
+        "t,x\n\n0,1\n1,spam\n",
+        (InvalidInput, "line 4: could not convert string to float: 'spam'")),
+    "ragged row after blank lines": (
+        "t,x\n0,1\n\n\n1,2,3\n", (InvalidInput, "line 5: expected 2 columns, got 3")),
+    "bad cell after CR-only blank lines": (
+        "t,x\r\r0,1\r\r1,spam\r",
+        (InvalidInput, "line 5: could not convert string to float: 'spam'")),
+}
+
+
+@pytest.mark.parametrize("text, expected", list(_READ_CONTRACT.values()),
+                         ids=list(_READ_CONTRACT))
+def test_series_reader_contract(tmp_path, text, expected):
+    # values are compared by bytes; errors name the physical line of the row
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected[0], type):
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+        return
+    x, y = read_series_csv(path)
+    want_x, want_y = expected
+    assert x.tobytes() == np.array(want_x, dtype=float).tobytes()
+    if want_y is None:
+        assert y is None
+    else:
+        assert y.tobytes() == np.array(want_y, dtype=float).tobytes()
 
 
 # =========================================================================
