@@ -90,8 +90,8 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
     A header row is auto-detected by the first non-empty row failing to
     parse as numbers. Blank lines are skipped. Every data row must have the
-    same column count (2 or 3); the time column is read but its values are
-    ignored. Errors name the physical line of the offending row.
+    same column count (2 or 3); the values of the time column are ignored.
+    Errors name the physical line of the offending row.
     """
     try:
         data = _parse_numeric(path)
