@@ -1,11 +1,17 @@
 """Command line front end: CSV ingestion, analysis subcommands, Monte Carlo.
 
-Exit codes are a stable contract: 0 success, 2 usage/config/validation
-problems, 3 I/O failures, 4 estimation failures (a partial result document
-is still written). Every invocation that writes a file also writes a
-manifest sidecar ``<output>.manifest.json`` holding the fully resolved
-parameters; the ``replay`` subcommand re-executes a manifest and verifies
-that the regenerated outputs are byte-identical.
+Exit codes are a stable contract: 0 success, 1 replayed outputs differ from
+the record, 2 usage/config/validation problems (a malformed manifest
+included), 3 I/O failures, 4 estimation failures (a partial result document
+is still written).
+
+Every subcommand resolves its flags and config file into a parameter dict
+and a map of input digests, and hands both to one run path, ``_run``. It
+executes the subcommand, embeds the manifest (the parameters as the run
+resolved them, the input digests and the seeds) in every result document and
+writes one sidecar ``<output>.manifest.json`` per output, listing the digests
+of all outputs. ``replay`` sends the recorded parameters and inputs down the
+same path, then checks the rewritten outputs against the recorded digests.
 
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
@@ -51,7 +57,6 @@ from .fileio import (
     write_series_csv,
 )
 from .montecarlo import (
-    ESTIMATORS,
     ExperimentConfig,
     feasibility_sweep,
     run_experiment,
@@ -65,30 +70,27 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ESTIMATION = 4
 
-_ANALYSES_UNIVARIATE = ("dfa",)
-_ANALYSES_PAIR = ("dcca", "rho", "beta", "coherency", "hrho", "report")
-
 
 def _fail(message: str) -> None:
     print(f"plcc: error: {message}", file=sys.stderr)
 
 
-def _manifest_path(out_path: str) -> str:
-    return f"{out_path}.manifest.json"
-
-
-def _write_sidecar(manifest: dict, output_paths: list[str]) -> None:
-    """One sidecar per output, each listing the digests of all outputs."""
-    outputs = {p: sha256_file(p) for p in output_paths}
-    doc = dict(manifest)
-    doc["outputs"] = outputs
-    for p in output_paths:
-        write_json(_manifest_path(p), doc)
-
-
 # =========================================================================
-# Seed and flag resolution
+# Config, seed and flag resolution
 # =========================================================================
+
+
+def _read_config(path: str, allowed: set[str]) -> tuple[dict, dict]:
+    """The entries of a config file and its digest as the run's inputs.
+
+    Keys outside ``allowed`` and the generator spec keys are refused.
+    """
+    with open(path) as fh:
+        cfg = parse_config(fh.read(), source=path)
+    unknown = sorted(set(cfg) - allowed - spec_config_keys(cfg))
+    if unknown:
+        raise InvalidInput(f"{path}: unknown keys: {', '.join(unknown)}")
+    return cfg, {path: sha256_file(path)}
 
 
 def _env_seed() -> int | None:
@@ -155,32 +157,17 @@ def _resolve_n_freqs_param(params: dict, length: int) -> int:
 _GENERATE_KEYS = {"length", "seed", "output"}
 
 
-def _exec_generate(params: dict) -> tuple[int, dict]:
+def _exec_generate(params: dict, inputs: dict, jobs: int) -> tuple:
     spec = McArfimaSpec.from_dict(params["spec"])
     pair = generate_mc_arfima(spec, params["length"], params["seed"])
     params["spec"] = pair.spec_echo.to_dict()
-    out = params["out"]
-    if params["output"] == "x":
-        write_series_csv(out, pair.x.values)
-    else:
-        write_series_csv(out, pair.x.values, pair.y.values)
-    manifest = build_manifest(
-        "generate",
-        {k: v for k, v in params.items() if not k.startswith("_")},
-        params.pop("_inputs", {}),
-        params["seed"],
-    )
-    _write_sidecar(manifest, [out])
-    return EXIT_OK, manifest
+    columns = [pair.x.values] if params["output"] == "x" else [pair.x.values, pair.y.values]
+    write_series_csv(params["out"], *columns)
+    return EXIT_OK, params["seed"], [params["out"]], {}
 
 
 def _cmd_generate(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read(), source=args.config)
-    allowed = _GENERATE_KEYS | spec_config_keys(cfg)
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise InvalidInput(f"{args.config}: unknown keys: {', '.join(unknown)}")
+    cfg, inputs = _read_config(args.config, _GENERATE_KEYS)
     length = config_int(cfg, "length")
     if length is None:
         raise InvalidInput(f"{args.config}: config key 'length' is required")
@@ -196,9 +183,8 @@ def _cmd_generate(args) -> int:
         "seed": seed,
         "output": config_str(cfg, "output", "pair", choices={"pair", "x"}),
         "spec": spec_from_config(cfg).to_dict(),
-        "_inputs": {args.config: sha256_file(args.config)},
     }
-    code, _ = _exec_generate(params)
+    code, _ = _run("generate", params, inputs, 1)
     print(f"wrote {args.out}: {length} rows, seed {seed}")
     return code
 
@@ -372,21 +358,22 @@ _ANALYZE_FN = {
 }
 
 
-def _exec_analyze(params: dict) -> tuple[int, dict]:
+def _exec_analyze(params: dict, inputs: dict, jobs: int) -> tuple:
+    """An input digest already in ``inputs`` (a replay) must still match."""
     sub = params["analysis"]
     in_path = params["input"]
     digest = sha256_file(in_path)
-    recorded = params.get("_input_digest")
+    recorded = inputs.get(in_path)
     if recorded is not None and recorded != digest:
         raise InvalidInput(
             f"{in_path}: content changed since the manifest was written "
             f"(digest {digest[:12]}… != {recorded[:12]}…)"
         )
-    params["_input_digest"] = digest
+    inputs[in_path] = digest
     x, y = read_series_csv(in_path)
-    if sub in _ANALYSES_UNIVARIATE and y is not None:
+    if sub == "dfa" and y is not None:
         raise InvalidInput(f"{in_path}: {sub} expects a single-series file (t,x)")
-    if sub in _ANALYSES_PAIR and y is None:
+    if sub != "dfa" and y is None:
         raise InvalidInput(f"{in_path}: {sub} expects a pair file (t,x,y)")
     if x.size < params["min_rows"]:
         raise InvalidInput(
@@ -397,37 +384,18 @@ def _exec_analyze(params: dict) -> tuple[int, dict]:
     error = _ANALYZE_FN[sub](x, y, params, doc)
     if error is not None:
         doc["error"] = error
-    public = {k: v for k, v in params.items() if not k.startswith("_")}
-    manifest = build_manifest(sub, public, {in_path: digest}, None)
-    doc["manifest"] = manifest
-    write_json(params["out"], doc)
-    _write_sidecar(manifest, [params["out"]])
-    return (EXIT_OK if error is None else EXIT_ESTIMATION), manifest
+    return (EXIT_OK if error is None else EXIT_ESTIMATION), None, [], {params["out"]: doc}
 
 
 def _cmd_analyze(args) -> int:
-    sub = args.analysis
-    out = args.out
+    # every option of the analysis's parser is a recorded parameter
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    out = params["out"]
     if out is None:
-        stem = os.path.splitext(args.input)[0]
-        out = f"{stem}.{sub}.json"
-    params = {
-        "analysis": sub,
-        "input": args.input,
-        "out": out,
-        "min_rows": args.min_rows,
-    }
-    if sub in ("dfa", "dcca", "rho", "beta", "hrho", "report"):
-        params["order"] = args.order
-        params["scales"] = args.scales
-    if sub in ("coherency", "hrho", "report"):
-        params["n_freqs"] = args.nfreqs
-        params["bandwidth"] = args.bandwidth
-    if sub == "report":
-        params["tolerance"] = args.tol
-    code, _ = _exec_analyze(params)
+        out = params["out"] = f"{os.path.splitext(args.input)[0]}.{args.analysis}.json"
+    code, _ = _run(args.analysis, params, {}, 1)
     if code == EXIT_OK:
-        print(f"{sub}: wrote {out}")
+        print(f"{args.analysis}: wrote {out}")
     else:
         _fail(f"estimation failed; partial result written to {out}")
     return code
@@ -455,8 +423,9 @@ def _sweep_summary_doc(sweep: dict) -> dict:
     }
 
 
-def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
+def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
     out_dir = params["out_dir"]
+    tolerance = params["tolerance"]
     if params["mode"] == "suite":
         configs = standard_regimes(
             length=params["length"],
@@ -467,15 +436,14 @@ def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
     else:
         echo = params["config_echo"]
         configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(echo["spec"])})]
-    os.makedirs(out_dir, exist_ok=True)
-    tolerance = params["tolerance"]
-    seeds = sorted({c.master_seed for c in configs})
-
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
         sweep = feasibility_sweep(configs, tolerance=tolerance, jobs=jobs)
         results = sweep["results"]
         summary = _sweep_summary_doc(sweep)
     else:
+        # feasibility_sweep makes the same check on the branch above
+        if not tolerance > 0:
+            raise InvalidParameter("tolerance must be positive")
         results = [run_experiment(c, jobs=jobs) for c in configs]
         summary = {
             "subcommand": "mc",
@@ -484,42 +452,19 @@ def _exec_mc(params: dict, jobs: int) -> tuple[int, dict]:
                 {"label": r.label, "degraded": r.degraded} for r in results
             ],
         }
-    manifest = build_manifest(
-        "mc",
-        {k: v for k, v in params.items() if not k.startswith("_")},
-        params.pop("_inputs", {}),
-        seeds if len(seeds) > 1 else seeds[0],
-    )
-    outputs = []
-    for res in results:
-        doc = res.to_dict()
-        doc["manifest"] = manifest
-        path = os.path.join(out_dir, f"{res.label}.json")
-        write_json(path, doc)
-        outputs.append(path)
-    summary["manifest"] = manifest
-    summary_path = os.path.join(out_dir, "summary.json")
-    write_json(summary_path, summary)
-    outputs.append(summary_path)
-    _write_sidecar(manifest, outputs)
-    params["_summary"] = summary
-    return EXIT_OK, manifest
+    # the directory appears only once every check has passed
+    os.makedirs(out_dir, exist_ok=True)
+    docs = {os.path.join(out_dir, f"{res.label}.json"): res.to_dict() for res in results}
+    docs[os.path.join(out_dir, "summary.json")] = summary
+    seeds = sorted({c.master_seed for c in configs})
+    return EXIT_OK, seeds if len(seeds) > 1 else seeds[0], [], docs
 
 
 def _cmd_mc(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read(), source=args.config)
-    allowed = _MC_KEYS | spec_config_keys(cfg)
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise InvalidInput(f"{args.config}: unknown keys: {', '.join(unknown)}")
+    cfg, inputs = _read_config(args.config, _MC_KEYS)
     tolerance = args.tol if args.tol is not None else config_float(cfg, "mc.tolerance", 0.05)
     master = _resolve_seed(args.seed, config_int(cfg, "mc.master_seed"))
-    params: dict = {
-        "out_dir": args.out_dir,
-        "tolerance": tolerance,
-        "_inputs": {args.config: sha256_file(args.config)},
-    }
+    params: dict = {"out_dir": args.out_dir, "tolerance": tolerance}
     if "mc.suite" in cfg:
         config_str(cfg, "mc.suite", choices={"standard-regimes"})
         stray = sorted(spec_config_keys(cfg))
@@ -565,8 +510,8 @@ def _cmd_mc(args) -> int:
             scale_max=config_int(cfg, "mc.scale_max"),
         )
         params.update(mode="single", config_echo=experiment.echo())
-    code, _ = _exec_mc(params, args.jobs)
-    summary = params["_summary"]
+    code, docs = _run("mc", params, inputs, args.jobs)
+    summary = docs[os.path.join(args.out_dir, "summary.json")]
     if "max_gap" in summary:
         print(
             f"mc: wrote {args.out_dir}; max gap "
@@ -579,27 +524,45 @@ def _cmd_mc(args) -> int:
 
 
 # =========================================================================
-# replay
+# The run path and replay
 # =========================================================================
+
+# Each executor takes ``(params, inputs, jobs)``, completes ``params`` and
+# ``inputs`` in place with what it resolved, and returns its exit code, its
+# seeds, the files it wrote and the result documents still to be written.
+_EXEC = {"generate": _exec_generate, "mc": _exec_mc, **dict.fromkeys(_ANALYZE_FN, _exec_analyze)}
+
+
+def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
+    """Execute a subcommand and record it; returns the exit code and documents.
+
+    The manifest is embedded in every result document, and every output
+    gets a sidecar that lists the digests of all outputs of the run.
+    """
+    code, seeds, written, docs = _EXEC[sub](params, inputs, jobs)
+    manifest = build_manifest(sub, params, inputs, seeds)
+    for path, doc in docs.items():
+        doc["manifest"] = manifest
+        write_json(path, doc)
+    outputs = [*written, *docs]
+    sidecar = {**manifest, "outputs": {p: sha256_file(p) for p in outputs}}
+    for path in outputs:
+        write_json(f"{path}.manifest.json", sidecar)
+    return code, docs
 
 
 def _cmd_replay(args) -> int:
     man = read_manifest(args.manifest)
     sub = man["subcommand"]
-    params = dict(man["parameters"])
+    if sub not in _EXEC:
+        raise InvalidParameter(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
     # The recorded input digests ride along so the rewritten sidecars match
-    # the original ones byte for byte; for analyses the digest additionally
-    # guards against replaying over a changed input file.
-    params["_inputs"] = man.get("inputs", {})
-    if sub == "generate":
-        code, _ = _exec_generate(params)
-    elif sub in _ANALYZE_FN:
-        params["_input_digest"] = params.pop("_inputs").get(params["input"])
-        code, _ = _exec_analyze(params)
-    elif sub == "mc":
-        code, _ = _exec_mc(params, args.jobs)
-    else:
-        raise InvalidParameter(f"manifest subcommand {sub!r} is not replayable")
+    # the original ones byte for byte; an analysis also refuses to replay
+    # over an input file whose digest changed.
+    try:
+        code, _ = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
+    except KeyError as exc:
+        raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
     recorded = man.get("outputs", {})
     mismatched = []
     for path, digest in sorted(recorded.items()):
@@ -657,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     freqs = argparse.ArgumentParser(add_help=False)
     freqs.add_argument(
-        "--nfreqs", type=int,
+        "--nfreqs", type=int, dest="n_freqs", metavar="NFREQS",
         help=(
             "number of lowest Fourier frequencies (default: all T/2 for coherency; "
             "floor(sqrt(T)), at least 8, for hrho and report)"
@@ -681,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=parents)
         if name == "report":
             p.add_argument(
-                "--tol", type=float, default=0.05,
+                "--tol", type=float, default=0.05, dest="tolerance", metavar="TOL",
                 help="regime classification tolerance (default 0.05)",
             )
         p.set_defaults(handler=_cmd_analyze, analysis=name)

@@ -89,9 +89,10 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a ``t,x[,y]`` CSV; returns ``(x, y)`` with ``y`` None for 2 columns.
 
     A header row is auto-detected by the first non-empty row failing to
-    parse as numbers. Blank lines are skipped. Every data row must have the
-    same column count (2 or 3); the values of the time column are ignored.
-    Errors name the physical line of the offending row.
+    parse as numbers. A leading UTF-8 byte-order mark is dropped and blank
+    lines are skipped. Every data row must have the same column count (2 or
+    3); the values of the time column are ignored. Errors name the physical
+    line of the offending row.
     """
     try:
         data = _parse_numeric(path)
@@ -114,7 +115,7 @@ def _parse_numeric(path) -> np.ndarray | None:
     messages. Universal newlines give numpy ``\\n`` for the ``\\r\\n`` and
     ``\\r`` that csv also ends rows on.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         first = next((row for row in rows if row), None)
         skip = 0 if first is None or _is_numeric_row(first) else rows.line_num
@@ -133,7 +134,7 @@ def _parse_numeric(path) -> np.ndarray | None:
 def _read_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Row-by-row reader: the path for quoted cells, ``1_0`` and a non-numeric
     time column, and the one whose errors name the physical line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
@@ -356,15 +357,26 @@ def build_manifest(subcommand: str, parameters: dict, inputs: dict, seeds) -> di
     }
 
 
+# the JSON type of each manifest field that replay reads
+_MANIFEST_FIELDS = {"subcommand": str, "parameters": dict, "inputs": dict, "outputs": dict}
+
+
 def read_manifest(path) -> dict:
+    """A manifest document whose fields have the types replay reads."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path}: manifest is not a JSON object")
     for field in ("tool", "subcommand", "parameters"):
         if field not in doc:
             raise InvalidInput(f"{path}: manifest lacks the {field!r} field")
+    for field, kind in _MANIFEST_FIELDS.items():
+        if not isinstance(doc.get(field, kind()), kind):
+            name = "string" if kind is str else "object"
+            raise InvalidInput(f"{path}: manifest field {field!r} is not a JSON {name}")
     if doc["tool"] != "plcc":
         raise InvalidParameter(f"{path}: manifest was written by {doc['tool']!r}")
     return doc

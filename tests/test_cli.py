@@ -316,19 +316,74 @@ def test_version_flag(capsys):
 # =========================================================================
 
 
-def test_replay_generate_and_analysis(tmp_path, capsys):
-    cfg = _write(tmp_path / "g.cfg", GEN_CFG)
-    series = str(tmp_path / "pair.csv")
+def _contents(paths):
+    return {p: open(p, "rb").read() for p in paths}
+
+
+@pytest.mark.parametrize("sub", ["dfa", "dcca", "rho", "beta", "coherency", "hrho", "report"])
+def test_replay_generate_and_analysis(tmp_path, capsys, sub):
+    cfg = _write(tmp_path / "g.cfg", GEN_CFG + ("output = x\n" if sub == "dfa" else ""))
+    series = str(tmp_path / "series.csv")
     assert main(["generate", cfg, "--out", series]) == 0
     fit = str(tmp_path / "fit.json")
-    assert main(["dcca", series, "--out", fit]) == 0
+    assert main([sub, series, "--out", fit]) == 0
     capsys.readouterr()
 
     for target in (series, fit):
-        before = open(target, "rb").read()
-        assert main(["replay", f"{target}.manifest.json"]) == 0
-        assert open(target, "rb").read() == before
+        sidecar = f"{target}.manifest.json"
+        before = _contents([target, sidecar])
+        assert main(["replay", sidecar]) == 0
+        assert _contents([target, sidecar]) == before
         assert "replay ok: 1 recorded output(s) byte-identical" in capsys.readouterr().out
+
+
+def test_replay_mc_single_experiment(tmp_path, capsys):
+    cfg = _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    out_dir = str(tmp_path / "runs")
+    assert main(["mc", cfg, "--out-dir", out_dir]) == 0
+    paths = [os.path.join(out_dir, n) for n in sorted(os.listdir(out_dir))]
+    assert len(paths) == 4  # smoke.json, summary.json and a sidecar for each
+    before = _contents(paths)
+    capsys.readouterr()
+    assert main(["replay", os.path.join(out_dir, "smoke.json.manifest.json"), "--jobs", "2"]) == 0
+    assert _contents(paths) == before
+    assert "replay ok: 2 recorded output(s) byte-identical" in capsys.readouterr().out
+
+
+def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
+    # a manifest that lacks a parameter or is not a JSON object is a usage
+    # error naming the manifest, and the replay writes nothing
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    assert main(["dcca", "pair.csv", "--out", "fit.json"]) == 0
+    real = {
+        name: json.load(open(f"{name}.manifest.json")) for name in ("pair.csv", "fit.json")
+    }
+    cases = [
+        ('{"tool": "plcc", "subcommand": "generate", "parameters": {}}',
+         "manifest parameters lack the 'spec' key"),
+        ("3", "manifest is not a JSON object"),
+        ('{"tool": "plcc", "subcommand": "dcca", "parameters": []}',
+         "manifest field 'parameters' is not a JSON object"),
+        ('{"tool": "plcc", "subcommand": ["dcca"], "parameters": {}}',
+         "manifest field 'subcommand' is not a JSON string"),
+        ('{"tool": "plcc", "subcommand": "dcca", "parameters": {}, "outputs": 1}',
+         "manifest field 'outputs' is not a JSON object"),
+    ]
+    # real manifests with one parameter removed: the generator would have
+    # run before the output path was needed, the analysis before its order
+    for name, key in (("pair.csv", "out"), ("fit.json", "order")):
+        doc = dict(real[name], parameters=dict(real[name]["parameters"]))
+        del doc["parameters"][key]
+        cases.append((json.dumps(doc), f"manifest parameters lack the '{key}' key"))
+    for text, message in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        before = _contents(sorted(os.listdir(tmp_path)))
+        assert main(["replay", "bad.json"]) == 2
+        assert f"plcc: error: bad.json: {message}\n" == capsys.readouterr().err
+        assert _contents(sorted(os.listdir(tmp_path))) == before
 
 
 def test_replay_detects_changed_input(tmp_path, capsys):
@@ -432,6 +487,22 @@ def test_mc_config_errors(tmp_path, capsys):
     assert main(["mc", short_suite, "--out-dir", str(tmp_path / "o7")]) == 2
     assert "leaves no admissible scales" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o7")
+
+    # a tolerance or worker count out of range leaves no output directory,
+    # whether or not the experiment runs the feasibility sweep
+    single = _write(tmp_path / "m8.cfg", MC_SINGLE_CFG)
+    spectral = _write(tmp_path / "m9.cfg", MC_SINGLE_CFG.replace("dfa, dcca", "logperiodogram"))
+    for cfg, flag, value, message in [
+        (single, "--tol", "0", "tolerance must be positive"),
+        (single, "--jobs", "0", "jobs must be at least 1"),
+        (spectral, "--tol", "-1", "tolerance must be positive"),
+        (spectral, "--tol", "0", "tolerance must be positive"),
+        (spectral, "--jobs", "0", "jobs must be at least 1"),
+    ]:
+        out_dir = tmp_path / "o8"
+        assert main(["mc", cfg, "--out-dir", str(out_dir), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
 
 
 def test_mc_suite_replay_identical_across_jobs(tmp_path):

@@ -163,6 +163,9 @@ _READ_CONTRACT = {
         "0,1,2,3\n", (InvalidInput, "expected 2 or 3 columns (t,x[,y]), got 4")),
     "no header": ("0,1.5\n1,2.5\n", ([1.5, 2.5], None)),
     "no header, pair": ("0,1.5,-1\n", ([1.5], [-1.0])),
+    "byte-order mark, no header": ("\ufeff0,1.5\n1,2.5\n", ([1.5, 2.5], None)),
+    "byte-order mark and header": ("\ufefft,x\n0,1.5\n1,2.5\n", ([1.5, 2.5], None)),
+    "byte-order mark, quoted cells": ('\ufeff0,"1.5"\n1,2.5\n', ([1.5, 2.5], None)),
     "leading blank lines": ("\n\nt,x\n0,1\n", ([1.0], None)),
     "interleaved blank lines": ("t,x,y\n0,1,2\n\n1,3,4\n\n", ([1.0, 3.0], [2.0, 4.0])),
     "whitespace-only line": (

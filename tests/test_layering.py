@@ -1,9 +1,12 @@
-"""Layering lint: no package module imports another module's private names.
+"""Import lints over the package modules, read from their syntax trees.
 
-A name with a leading underscore is an implementation detail of the module
-that defines it. Another module that needs it gets a public name instead, so
-each statistic keeps one code path. Dunder names such as ``__version__`` are
-public by convention and exempt.
+No module imports another module's private names: a name with a leading
+underscore is an implementation detail of the module that defines it.
+Another module that needs it gets a public name instead, so each statistic
+keeps one code path. Dunder names such as ``__version__`` are public by
+convention and exempt.
+
+No module imports a name it never uses, unless it re-exports it.
 """
 
 import ast
@@ -32,3 +35,34 @@ def test_no_module_imports_another_modules_private_names():
     assert modules, f"no modules found under {PACKAGE}"
     found = [hit for path in modules for hit in _private_imports(path)]
     assert not found, "private cross-module imports:\n" + "\n".join(found)
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(imported.items())
+        if name not in used and name not in exported
+    ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # ``__init__.py`` exists to re-export, and so does a name in ``__all__``
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules, f"no modules found under {PACKAGE}"
+    found = [hit for path in modules for hit in _unused_imports(path)]
+    assert not found, "unused imports:\n" + "\n".join(found)
