@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries
 from .errors import InvalidParameter, TruncationWarning
 
 __all__ = [
@@ -99,6 +98,39 @@ def _validate_seed(seed) -> int:
     return s
 
 
+def _cutoffs(length: int, truncation, burn_in) -> tuple[int, int]:
+    """``(truncation, burn_in)`` with the defaults ``burn_in = length`` and
+    ``truncation = length + burn_in``, which keep the full weight memory
+    available for every retained sample."""
+    burn = int(burn_in) if burn_in is not None else int(length)
+    if burn < 0:
+        raise InvalidParameter("burn_in must be non-negative")
+    trunc = int(truncation) if truncation is not None else int(length) + burn
+    if trunc < 1:
+        raise InvalidParameter("truncation must be a positive integer")
+    return trunc, burn
+
+
+def _resolve_run(length, seed, truncation, burn_in) -> tuple[int, int, int, int]:
+    """Checked ``(length, seed, truncation, burn_in)`` of one generator call.
+
+    A truncation below the length is accepted but flagged with a
+    :class:`TruncationWarning`, since long-lag correlations are then biased.
+    """
+    n = int(length)
+    if n != length or n < 64:
+        raise InvalidParameter("length must be an integer >= 64")
+    base = _validate_seed(seed)
+    trunc, burn = _cutoffs(n, truncation, burn_in)
+    if trunc < n:
+        warnings.warn(
+            f"truncation {trunc} is below the series length {n}",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return n, base, trunc, burn
+
+
 def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T = sigma; eigenvalue clipping for singular input."""
     try:
@@ -160,8 +192,7 @@ class McArfimaSpec:
 
     ``truncation`` (moving-average cutoff: highest retained weight index) and
     ``burn_in`` may be left as None to be resolved against the generated
-    length: ``burn_in = length`` and ``truncation = length + burn_in``, which
-    keeps the full weight memory available for every retained sample.
+    length: ``burn_in = length`` and ``truncation = length + burn_in``.
     """
 
     alpha: float
@@ -199,9 +230,8 @@ class McArfimaSpec:
 
     def resolved(self, length: int) -> "McArfimaSpec":
         """Concrete copy with truncation and burn-in defaults filled in."""
-        burn = self.burn_in if self.burn_in is not None else int(length)
-        trunc = self.truncation if self.truncation is not None else int(length) + burn
-        return dataclasses.replace(self, truncation=int(trunc), burn_in=int(burn))
+        trunc, burn = _cutoffs(length, self.truncation, self.burn_in)
+        return dataclasses.replace(self, truncation=trunc, burn_in=burn)
 
     def component_weights(self) -> tuple[tuple[float, float], ...]:
         """((weight, d), ...) for the four components in stream order."""
@@ -213,21 +243,9 @@ class McArfimaSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-            "d4": self.d4,
-            "sigma": [[float(v) for v in row] for row in self.sigma],
-            "innovation_dist": self.innovation_dist,
-            "dof": self.dof,
-            "truncation": self.truncation,
-            "burn_in": self.burn_in,
-        }
+        """Every field by name, with ``sigma`` as nested lists of floats."""
+        record = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {**record, "sigma": self.sigma.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "McArfimaSpec":
@@ -237,10 +255,13 @@ class McArfimaSpec:
 
 @dataclass(frozen=True, eq=False)
 class BivariateSeries:
-    """A generated pair along with the spec and seed that produced it."""
+    """A generated pair along with the spec and seed that produced it.
 
-    x: TimeSeries
-    y: TimeSeries
+    ``x`` and ``y`` are read-only float arrays.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     spec_echo: McArfimaSpec
     seed: int
 
@@ -301,6 +322,11 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     return parts[0] + parts[1], parts[2] + parts[3]
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> BivariateSeries:
     """Generate a correlated long-memory pair of the given length.
 
@@ -308,26 +334,11 @@ def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> BivariateSeries
     series. A truncation below ``length`` is accepted but flagged with a
     :class:`TruncationWarning` since long-lag correlations are then biased.
     """
-    n = int(length)
-    if n != length or n < 64:
-        raise InvalidParameter("length must be an integer >= 64")
-    base = _validate_seed(seed)
-    rspec = spec.resolved(n)
-    if rspec.truncation < n:
-        warnings.warn(
-            f"truncation {rspec.truncation} is below the series length {n}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    total = rspec.truncation + rspec.burn_in + n
-    eps = correlated_innovations(rspec.sigma, rspec.innovation_dist, total, base, rspec.dof)
+    n, base, trunc, burn = _resolve_run(length, seed, spec.truncation, spec.burn_in)
+    rspec = dataclasses.replace(spec, truncation=trunc, burn_in=burn)
+    eps = correlated_innovations(rspec.sigma, rspec.innovation_dist, trunc + burn + n, base, rspec.dof)
     x, y = filter_mc_arfima(rspec, eps, n)
-    return BivariateSeries(
-        x=TimeSeries(x, label="x"),
-        y=TimeSeries(y, label="y"),
-        spec_echo=rspec,
-        seed=base,
-    )
+    return BivariateSeries(x=_read_only(x), y=_read_only(y), spec_echo=rspec, seed=base)
 
 
 def generate_arfima(
@@ -338,36 +349,20 @@ def generate_arfima(
     dof=None,
     truncation: int | None = None,
     burn_in: int | None = None,
-) -> TimeSeries:
+) -> np.ndarray:
     """Generate a single fractionally integrated noise series.
 
-    Uses the same stream derivation, truncation and burn-in conventions as
-    :func:`generate_mc_arfima`, so it reproduces the ``x`` side of a pair
-    whose spec degenerates to one active component with unit weight and
-    identity covariance.
+    Returned as a read-only array. Uses the same stream derivation,
+    truncation and burn-in conventions as :func:`generate_mc_arfima`, so it
+    reproduces the ``x`` side of a pair whose spec degenerates to one active
+    component with unit weight and identity covariance.
     """
-    n = int(length)
-    if n != length or n < 64:
-        raise InvalidParameter("length must be an integer >= 64")
-    base = _validate_seed(seed)
     _validate_dist(dist, dof)
     if not -0.5 < d < 0.5:
         raise InvalidParameter(f"d = {d}: memory parameter must lie in (-0.5, 0.5)")
-    burn = int(burn_in) if burn_in is not None else n
-    if burn < 0:
-        raise InvalidParameter("burn_in must be non-negative")
-    trunc = int(truncation) if truncation is not None else n + burn
-    if trunc < 1:
-        raise InvalidParameter("truncation must be a positive integer")
-    if trunc < n:
-        warnings.warn(
-            f"truncation {trunc} is below the series length {n}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    n_keep = burn + n
-    stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + n_keep)
+    n, base, trunc, burn = _resolve_run(length, seed, truncation, burn_in)
+    stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
     weights = arfima_weights(d, trunc + 1)
-    (tail,) = _fft_convolve_tail([stream], weights, n_keep)
-    values = tail[burn:]
-    return TimeSeries(values, label=f"arfima(d={d:g})")
+    (tail,) = _fft_convolve_tail([stream], weights, burn + n)
+    # a compact copy: a view would keep the burn-in alive
+    return _read_only(tail[burn:].copy())

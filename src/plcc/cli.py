@@ -21,6 +21,7 @@ the ``PLCC_SEED`` environment variable, which wins over the config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -93,6 +94,30 @@ def _read_config(path: str, allowed: set[str]) -> tuple[dict, dict]:
     return cfg, {path: sha256_file(path)}
 
 
+class _RecordMismatch(InvalidInput):
+    """Recorded parameters that do not fit the dataclass they rebuild."""
+
+
+def _record_fields(cls, record, where: str) -> dict:
+    """``record`` once its keys are exactly the fields of dataclass ``cls``.
+
+    A missing required field or an unknown one would otherwise surface as a
+    ``TypeError`` from the constructor; a replay reports it as a malformed
+    manifest instead.
+    """
+    if not isinstance(record, dict):
+        raise _RecordMismatch(f"manifest parameter '{where}' is not a JSON object")
+    fields = dataclasses.fields(cls)
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in record:
+            raise _RecordMismatch(f"manifest parameters lack the '{where}.{f.name}' key")
+    unknown = sorted(set(record) - {f.name for f in fields})
+    if unknown:
+        raise _RecordMismatch(f"manifest parameter '{where}' has the unknown key '{unknown[0]}'")
+    return record
+
+
 def _env_seed() -> int | None:
     raw = os.environ.get("PLCC_SEED")
     if raw is None or raw == "":
@@ -158,10 +183,10 @@ _GENERATE_KEYS = {"length", "seed", "output"}
 
 
 def _exec_generate(params: dict, inputs: dict, jobs: int) -> tuple:
-    spec = McArfimaSpec.from_dict(params["spec"])
+    spec = McArfimaSpec.from_dict(_record_fields(McArfimaSpec, params["spec"], "spec"))
     pair = generate_mc_arfima(spec, params["length"], params["seed"])
     params["spec"] = pair.spec_echo.to_dict()
-    columns = [pair.x.values] if params["output"] == "x" else [pair.x.values, pair.y.values]
+    columns = [pair.x] if params["output"] == "x" else [pair.x, pair.y]
     write_series_csv(params["out"], *columns)
     return EXIT_OK, params["seed"], [params["out"]], {}
 
@@ -434,8 +459,9 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
         )
         params["configs"] = [c.echo() for c in configs]
     else:
-        echo = params["config_echo"]
-        configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(echo["spec"])})]
+        echo = _record_fields(ExperimentConfig, params["config_echo"], "config_echo")
+        spec = _record_fields(McArfimaSpec, echo["spec"], "config_echo.spec")
+        configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(spec)})]
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
         sweep = feasibility_sweep(configs, tolerance=tolerance, jobs=jobs)
         results = sweep["results"]
@@ -563,6 +589,8 @@ def _cmd_replay(args) -> int:
         code, _ = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
     except KeyError as exc:
         raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
+    except _RecordMismatch as exc:
+        raise InvalidInput(f"{args.manifest}: {exc}") from None
     recorded = man.get("outputs", {})
     mismatched = []
     for path, digest in sorted(recorded.items()):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FluctuationCurve, ScalingFit, fit_loglog, profile, series_values
+from .core import ScalingFit, fit_loglog, profile, series_values
 from .errors import (
     DegenerateInput,
     EstimationFailed,
@@ -29,8 +29,6 @@ __all__ = [
     "JointFluctuations",
     "min_scale_for_order",
     "default_scale_grid",
-    "dfa_fluctuation",
-    "dcca_fluctuation",
     "estimate_hurst_dfa",
     "estimate_hxy_dcca",
     "rho_dcca",
@@ -220,7 +218,11 @@ class JointFluctuations:
 
     @property
     def fxy(self) -> np.ndarray:
-        """Detrended covariance curve F2_xy(s); may change sign."""
+        """Detrended covariance curve F2_xy(s); may change sign.
+
+        Bilinear in the two series, and bit for bit the ``fxx`` of the
+        lone series when both sides hold the same values.
+        """
         for error in (self._error_x, self._error_y):
             if error is not None:
                 raise error
@@ -252,27 +254,6 @@ class JointFluctuations:
         if np.any(self._fxx <= 0):
             raise DegenerateInput("zero detrended variance of the regressor at some scale")
         return fxy / self._fxx
-
-
-# =========================================================================
-# Fluctuation curves
-# =========================================================================
-
-
-def dfa_fluctuation(x, cfg: DetrendConfig) -> FluctuationCurve:
-    """Detrended variance curve F2(s); grows as ``s**(2H)``."""
-    jf = JointFluctuations(x, None, cfg)
-    return FluctuationCurve(scales=jf.scales, values=jf.fxx, kind="dfa")
-
-
-def dcca_fluctuation(x, y, cfg: DetrendConfig) -> FluctuationCurve:
-    """Detrended covariance curve F2_xy(s); may change sign.
-
-    Bilinear in its inputs and reduces exactly to :func:`dfa_fluctuation`
-    when both arguments hold the same values.
-    """
-    jf = JointFluctuations(x, y, cfg)
-    return FluctuationCurve(scales=jf.scales, values=jf.fxy, kind="dcca")
 
 
 # =========================================================================

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -178,19 +178,13 @@ class ExperimentConfig:
         return tuple(m for tok in self.estimators for m in ESTIMATORS[tok])
 
     def echo(self) -> dict:
+        """Every field by name in JSON form, the spec as its ``to_dict``."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            "label": self.label,
+            **record,
             "spec": self.spec.to_dict(),
             "lengths": list(self.lengths),
-            "replications": self.replications,
             "estimators": list(self.estimators),
-            "master_seed": self.master_seed,
-            "poly_order": self.poly_order,
-            "n_scales": self.n_scales,
-            "n_freqs": self.n_freqs,
-            "bandwidth": self.bandwidth,
-            "scale_min": self.scale_min,
-            "scale_max": self.scale_max,
         }
 
 
@@ -213,21 +207,7 @@ class CellStats:
     samples: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "measurement": self.measurement,
-            "length": self.length,
-            "target": self.target,
-            "n_completed": self.n_completed,
-            "n_failed": self.n_failed,
-            "degraded": self.degraded,
-            "mean": self.mean,
-            "std": self.std,
-            "bias": self.bias,
-            "q05": self.q05,
-            "q50": self.q50,
-            "q95": self.q95,
-            "samples": list(self.samples),
-        }
+        return {**asdict(self), "samples": list(self.samples)}
 
 
 @dataclass(frozen=True)
@@ -330,7 +310,7 @@ def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict
 def _replicate(cfg: ExperimentConfig, length: int, index: int) -> dict:
     seed = split_seed(cfg.master_seed, index)
     pair = generate_mc_arfima(cfg.spec, length, seed)
-    values, failures = _evaluate_pair(pair.x.values, pair.y.values, cfg, length)
+    values, failures = _evaluate_pair(pair.x, pair.y, cfg, length)
     return {"values": values, "failures": failures}
 
 

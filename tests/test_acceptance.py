@@ -23,9 +23,7 @@ from plcc.detrended import (
     DetrendConfig,
     JointFluctuations,
     beta_dcca,
-    dcca_fluctuation,
     default_scale_grid,
-    dfa_fluctuation,
     estimate_hurst_dfa,
     rho_dcca,
 )
@@ -70,7 +68,7 @@ def anti_run():
     out = {"hx": [], "hy": [], "hxy": [], "time": [], "freq": [], "gap": [], "labels": []}
     for rep in range(100):
         pair = generate_mc_arfima(spec, t, split_seed(303, rep))
-        x, y = pair.x.values, pair.y.values
+        x, y = pair.x, pair.y
         full = JointFluctuations(x, y, full_grid)
         hx = full.hurst_x().exponent
         hy = full.hurst_y().exponent
@@ -225,13 +223,13 @@ def test_exact_identity_suite():
     y = rng.standard_normal(2048)
     cfg = DetrendConfig(default_scale_grid(2048))
     assert np.array_equal(
-        dcca_fluctuation(x, x.copy(), cfg).values, dfa_fluctuation(x, cfg).values
+        JointFluctuations(x, x.copy(), cfg).fxy, JointFluctuations(x, None, cfg).fxx
     )
     assert all(r == 1.0 for _, r in rho_dcca(x, x.copy(), cfg))
     assert all(r == -1.0 for _, r in rho_dcca(x, -x, cfg))
     assert np.all(coherency(x, x.copy(), bandwidth=11).values == 1.0)
-    base = dcca_fluctuation(x, y, cfg).values
-    assert np.array_equal(dcca_fluctuation(2 * x, 4 * y, cfg).values, 8 * base)
+    base = JointFluctuations(x, y, cfg).fxy
+    assert np.array_equal(JointFluctuations(2 * x, 4 * y, cfg).fxy, 8 * base)
     assert all(b == -4.0 for _, b in beta_dcca(x, -4 * x, cfg))
     fit = fit_loglog([(4.0, 3.0 * 4.0**1.8), (8.0, 3.0 * 8.0**1.8), (16.0, 3.0 * 16.0**1.8)], 2.0)
     assert fit.exponent == pytest.approx(0.9, abs=1e-9)
@@ -259,7 +257,7 @@ def test_scale_regression_recovers_shared_slope():
     # y = 2x + unit noise on a long-memory x: at mid scales the noise
     # averages out and the scale-wise regression coefficient reads 2
     t = 16384
-    x = generate_arfima(0.3, t, split_seed(808, 0)).values
+    x = generate_arfima(0.3, t, split_seed(808, 0))
     noise = np.random.default_rng(split_seed(808, 1)).standard_normal(t)
     y = 2.0 * x + noise
     pairs = beta_dcca(x, y, DetrendConfig(default_scale_grid(t)))

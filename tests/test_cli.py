@@ -259,7 +259,7 @@ def test_report_with_a_constant_side_keeps_per_channel_outcome(tmp_path, constan
     # the live side is fitted exactly as on its own; every channel that
     # reads the constant side fails with its zero-variance reason
     t = 4096
-    live = generate_arfima(0.3, t, 17).values
+    live = generate_arfima(0.3, t, 17)
     const = np.full(t, 1.5)
     x, y = (const, live) if constant == "x" else (live, const)
     path = str(tmp_path / "pair.csv")
@@ -355,10 +355,13 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
     # error naming the manifest, and the replay writes nothing
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "g.cfg", GEN_CFG)
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
     assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
     assert main(["dcca", "pair.csv", "--out", "fit.json"]) == 0
+    assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
     real = {
-        name: json.load(open(f"{name}.manifest.json")) for name in ("pair.csv", "fit.json")
+        name: json.load(open(f"{name}.manifest.json"))
+        for name in ("pair.csv", "fit.json", os.path.join("runs", "smoke.json"))
     }
     cases = [
         ('{"tool": "plcc", "subcommand": "generate", "parameters": {}}',
@@ -377,13 +380,41 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         doc = dict(real[name], parameters=dict(real[name]["parameters"]))
         del doc["parameters"][key]
         cases.append((json.dumps(doc), f"manifest parameters lack the '{key}' key"))
+    # the generator spec and the mc config are rebuilt from nested records,
+    # which must hold every required field and no other
+    mc = os.path.join("runs", "smoke.json")
+    for name, path, edit, message in (
+        ("pair.csv", ["spec"], {"d1": None}, "manifest parameters lack the 'spec.d1' key"),
+        ("pair.csv", ["spec"], {"zeta": 1.0},
+         "manifest parameter 'spec' has the unknown key 'zeta'"),
+        ("pair.csv", [], {"spec": [1.0]}, "manifest parameter 'spec' is not a JSON object"),
+        (mc, ["config_echo"], {"replications": None},
+         "manifest parameters lack the 'config_echo.replications' key"),
+        (mc, ["config_echo"], {"jobs": 2},
+         "manifest parameter 'config_echo' has the unknown key 'jobs'"),
+        (mc, ["config_echo", "spec"], {"sigma": None},
+         "manifest parameters lack the 'config_echo.spec.sigma' key"),
+    ):
+        doc = json.loads(json.dumps(real[name]))
+        record = doc["parameters"]
+        for key in path:
+            record = record[key]
+        for key, value in edit.items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        cases.append((json.dumps(doc), message))
+    def every_file():
+        return _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+
     for text, message in cases:
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        before = _contents(sorted(os.listdir(tmp_path)))
+        before = every_file()
         assert main(["replay", "bad.json"]) == 2
         assert f"plcc: error: bad.json: {message}\n" == capsys.readouterr().err
-        assert _contents(sorted(os.listdir(tmp_path))) == before
+        assert every_file() == before
 
 
 def test_replay_detects_changed_input(tmp_path, capsys):

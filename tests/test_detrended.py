@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_arfima, generate_mc_arfima
 from plcc.detrended import (
     DetrendConfig,
+    JointFluctuations,
     beta_dcca,
-    dcca_fluctuation,
     default_scale_grid,
-    dfa_fluctuation,
     estimate_hurst_dfa,
     estimate_hxy_dcca,
     min_scale_for_order,
@@ -80,12 +81,13 @@ def test_detrend_config_validation():
 def test_series_length_checks():
     cfg = DetrendConfig([12, 16, 20, 24, 30])
     with pytest.raises(SeriesTooShort):
-        dfa_fluctuation(np.random.default_rng(0).standard_normal(40), cfg)
+        JointFluctuations(np.random.default_rng(0).standard_normal(40), None, cfg).fxx
+    short_grid = DetrendConfig([12, 13, 14, 15, 16])
     with pytest.raises(InvalidInput):
         # largest scale exceeds T/5
-        dfa_fluctuation(np.random.default_rng(0).standard_normal(64), DetrendConfig([12, 13, 14, 15, 16]))
+        JointFluctuations(np.random.default_rng(0).standard_normal(64), None, short_grid).fxx
     with pytest.raises(DegenerateInput):
-        dfa_fluctuation(np.full(256, 1.0), cfg)
+        JointFluctuations(np.full(256, 1.0), None, cfg).fxx
 
 
 # =========================================================================
@@ -122,8 +124,8 @@ def test_fluctuations_match_polyfit_oracle():
     for order in (1, 2):
         scales = [min_scale_for_order(order), 22, 30, 40, 53, 70]
         cfg = DetrendConfig(scales, poly_order=order)
-        got_xx = dfa_fluctuation(x, cfg).values
-        got_xy = dcca_fluctuation(x, y, cfg).values
+        got_xx = JointFluctuations(x, None, cfg).fxx
+        got_xy = JointFluctuations(x, y, cfg).fxy
         ref_xx = _fluct_oracle(x, x, scales, order)
         ref_xy = _fluct_oracle(x, y, scales, order)
         assert np.allclose(got_xx, ref_xx, rtol=1e-9, atol=1e-12)
@@ -138,7 +140,7 @@ def test_box_layout_uses_both_ends():
     x[125:] = 0.0
     cfg = DetrendConfig([12, 14, 16, 18, 20, 25])
     ref = _fluct_oracle(x, x, [25], 1)
-    got = dfa_fluctuation(x, cfg).values[-1]
+    got = JointFluctuations(x, None, cfg).fxx[-1]
     assert got == pytest.approx(ref[0], rel=1e-9)
 
 
@@ -148,9 +150,9 @@ def test_polynomial_trend_is_removed_exactly():
     t = np.arange(512, dtype=float)
     x = 0.7 * t + 3.0
     cfg = DetrendConfig([16, 22, 30, 40, 55], poly_order=2)
-    curve = dfa_fluctuation(x, cfg)
-    assert np.all(curve.values < 1e-12)
-    assert np.all(curve.values >= 0.0)
+    curve = JointFluctuations(x, None, cfg).fxx
+    assert np.all(curve < 1e-12)
+    assert np.all(curve >= 0.0)
 
 
 # =========================================================================
@@ -180,9 +182,9 @@ def test_correlated_pair_cross_exponent_near_average():
     for rep in range(100):
         pair = generate_mc_arfima(spec, 16384, split_seed(1404, rep))
         cfg = DetrendConfig(default_scale_grid(16384))
-        hxs.append(estimate_hurst_dfa(pair.x.values, cfg).exponent)
-        hys.append(estimate_hurst_dfa(pair.y.values, cfg).exponent)
-        hxys.append(estimate_hxy_dcca(pair.x.values, pair.y.values, cfg).exponent)
+        hxs.append(estimate_hurst_dfa(pair.x, cfg).exponent)
+        hys.append(estimate_hurst_dfa(pair.y, cfg).exponent)
+        hxys.append(estimate_hxy_dcca(pair.x, pair.y, cfg).exponent)
     assert 0.82 < np.mean(hxs) < 0.98
     assert 0.82 < np.mean(hys) < 0.98
     gap = np.mean(hxys) - (np.mean(hxs) + np.mean(hys)) / 2.0
@@ -201,7 +203,7 @@ def test_white_noise_pair_is_flagged():
         wide_err.append(fit.stderr)
         flips.append(fit.diagnostics["sign_flips"])
         pair = generate_mc_arfima(spec, 4096, split_seed(709, rep))
-        narrow_err.append(estimate_hxy_dcca(pair.x.values, pair.y.values, cfg).stderr)
+        narrow_err.append(estimate_hxy_dcca(pair.x, pair.y, cfg).stderr)
     assert np.median(flips) >= 3
     assert np.median(wide_err) > 0.04
     assert np.median(narrow_err) < 0.02
@@ -222,33 +224,66 @@ def xy_pair():
     return x, y, cfg
 
 
-def test_dcca_self_equals_dfa_bitwise(xy_pair):
-    x, _, cfg = xy_pair
+# Seeds, lengths in [512, 4096] and orders 1-2; the explicit examples pin
+# the fixture pair above and the shortest and longest lengths.
+_DETRENDED_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1), length=st.integers(512, 4096), order=st.integers(1, 2)
+)
+
+
+def _draw_detrended(seed, length, order, heavy=False):
+    rng = np.random.default_rng(seed)
+    if heavy:  # Student-t(2): infinite variance stresses the rho bound
+        x, y = rng.standard_t(2, length), rng.standard_t(2, length)
+    else:
+        x, y = rng.standard_normal(length), rng.standard_normal(length)
+    return x, y, DetrendConfig(default_scale_grid(length, order), order)
+
+
+def _detrended_examples(test):
+    for length, order in ((2048, 1), (512, 2), (4096, 2)):
+        test = example(seed=12345, length=length, order=order)(test)
+    return settings(max_examples=30, deadline=None)(given(**_DETRENDED_DRAWS)(test))
+
+
+@_detrended_examples
+def test_dcca_self_equals_dfa_bitwise(seed, length, order):
+    x, _, cfg = _draw_detrended(seed, length, order)
     assert np.array_equal(
-        dcca_fluctuation(x, x.copy(), cfg).values, dfa_fluctuation(x, cfg).values
+        JointFluctuations(x, x.copy(), cfg).fxy, JointFluctuations(x, None, cfg).fxx
     )
 
 
-def test_dcca_negation_flips_sign_bitwise(xy_pair):
-    x, _, cfg = xy_pair
+@_detrended_examples
+def test_dcca_negation_flips_sign_bitwise(seed, length, order):
+    x, _, cfg = _draw_detrended(seed, length, order)
     assert np.array_equal(
-        dcca_fluctuation(x, -x, cfg).values, -dfa_fluctuation(x, cfg).values
+        JointFluctuations(x, -x, cfg).fxy, -JointFluctuations(x, None, cfg).fxx
     )
 
 
-def test_dcca_bilinearity(xy_pair):
-    x, y, cfg = xy_pair
-    base = dcca_fluctuation(x, y, cfg).values
+@_detrended_examples
+def test_dcca_bilinearity(seed, length, order):
+    x, y, cfg = _draw_detrended(seed, length, order)
+    base = JointFluctuations(x, y, cfg).fxy
     # powers of two commute with every rounding step, so this is bitwise
-    assert np.array_equal(dcca_fluctuation(2 * x, 4 * y, cfg).values, 8 * base)
-    got = dcca_fluctuation(1.7 * x, -0.3 * y, cfg).values
+    assert np.array_equal(JointFluctuations(2 * x, 4 * y, cfg).fxy, 8 * base)
+    got = JointFluctuations(1.7 * x, -0.3 * y, cfg).fxy
     assert np.allclose(got, 1.7 * -0.3 * base, rtol=1e-12)
 
 
-def test_rho_self_is_exactly_one(xy_pair):
-    x, _, cfg = xy_pair
-    assert all(r == 1.0 for _, r in rho_dcca(x, x.copy(), cfg))
-    assert all(r == -1.0 for _, r in rho_dcca(x, -x, cfg))
+@_detrended_examples
+def test_rho_self_is_exactly_one(seed, length, order):
+    x, _, cfg = _draw_detrended(seed, length, order)
+    assert np.all(JointFluctuations(x, x.copy(), cfg).rho() == 1.0)
+    assert np.all(JointFluctuations(x, -x, cfg).rho() == -1.0)
+
+
+@_detrended_examples
+def test_rho_bound_holds_on_student_t_inputs(seed, length, order):
+    x, y, cfg = _draw_detrended(seed, length, order, heavy=True)
+    rho = JointFluctuations(x, y, cfg).rho()
+    assert np.all((rho >= -1.0) & (rho <= 1.0))
 
 
 def test_rho_affine_invariance(xy_pair):
@@ -310,15 +345,15 @@ def test_beta_consistency_identities(xy_pair):
     rho = np.array([r for _, r in rho_dcca(x, y, cfg)])
     assert np.allclose(bxy * byx, rho * rho, rtol=1e-10, atol=1e-14)
     # beta times the regressor curve reproduces the cross curve
-    fxx = dfa_fluctuation(x, cfg).values
-    fxy = dcca_fluctuation(x, y, cfg).values
+    jf = JointFluctuations(x, y, cfg)
+    fxx, fxy = jf.fxx, jf.fxy
     assert np.allclose(bxy * fxx, fxy, rtol=1e-12, atol=1e-16)
 
 
 def test_beta_attenuation_with_shared_regressor():
     # y = 2x + noise of matching scale; the scale-wise coefficient stays
     # near 2 because the regressor is shared, not noisy
-    x = generate_arfima(0.3, 16384, split_seed(812, 0)).values
+    x = generate_arfima(0.3, 16384, split_seed(812, 0))
     noise = np.random.default_rng(split_seed(812, 1)).standard_normal(16384)
     y = 2.0 * x + x.std() * noise
     cfg = DetrendConfig(default_scale_grid(16384))
@@ -335,7 +370,7 @@ def test_degenerate_inputs_raise(xy_pair):
     with pytest.raises(DegenerateInput):
         beta_dcca(const, y, cfg)
     with pytest.raises(InvalidInput):
-        dcca_fluctuation(x, y[:-1], cfg)
+        JointFluctuations(x, y[:-1], cfg)
 
 
 def test_estimate_diagnostics_present(xy_pair):

@@ -7,10 +7,16 @@ keeps one code path. Dunder names such as ``__version__`` are public by
 convention and exempt.
 
 No module imports a name it never uses, unless it re-exports it.
+
+The package's public names are the union of the layer modules' ``__all__``
+lists. Each name appears once, and each module lists only names it defines,
+so no star import can shadow one module's name with another's.
 """
 
 import ast
 import pathlib
+
+import plcc
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "plcc"
 
@@ -66,3 +72,29 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules, f"no modules found under {PACKAGE}"
     found = [hit for path in modules for hit in _unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _foreign_exports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [f"{path.name}: {name}" for name in exported if name not in defined]
+
+
+def test_public_names_are_unique_and_defined_where_listed():
+    names = plcc.__all__
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    assert not duplicates, f"listed more than once in plcc.__all__: {duplicates}"
+    assert all(hasattr(plcc, n) for n in names)
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    found = [hit for path in modules for hit in _foreign_exports(path)]
+    assert not found, "names exported but not defined by the listing module:\n" + "\n".join(found)

@@ -75,7 +75,7 @@ def test_frequency_channel_drops_zero_ordinates():
 
 def test_time_channel_runs_on_correlated_pair():
     pair = generate_mc_arfima(_standard_spec(), 4096, split_seed(31, 0))
-    fit = h_rho_time(pair.x.values, pair.y.values)
+    fit = h_rho_time(pair.x, pair.y)
     assert np.isfinite(fit.exponent)
     assert fit.stderr >= 0.0
 
@@ -131,7 +131,7 @@ def test_report_standard_process_classification():
     freq_means, time_means, diff_means = [], [], []
     for rep in range(100):
         pair = generate_mc_arfima(_standard_spec(), 4096, split_seed(202, rep))
-        rep_out = coherency_report(pair.x.values, pair.y.values)
+        rep_out = coherency_report(pair.x, pair.y)
         if rep_out.regime == "standard":
             standard += 1
         if rep_out.h_rho_freq is not None:
@@ -213,7 +213,7 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     spec = _standard_spec()
     cfg = DetrendConfig(default_scale_grid(length, order), order)
     pair = generate_mc_arfima(spec, length, seed)
-    x, y = pair.x.values, pair.y.values
+    x, y = pair.x, pair.y
     rep = coherency_report(x, y, CoherencySettings(detrend=cfg))
     assert _channel(rep, "h_x") == _outcome(estimate_hurst_dfa, x, cfg)
     assert _channel(rep, "h_y") == _outcome(estimate_hurst_dfa, y, cfg)
@@ -228,7 +228,7 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     res = run_experiment(mc_cfg)
     for r in range(2):
         pair = generate_mc_arfima(spec, length, split_seed(seed, r))
-        px, py = pair.x.values, pair.y.values
+        px, py = pair.x, pair.y
         library = {
             "dfa_hx": estimate_hurst_dfa(px, cfg).exponent,
             "dfa_hy": estimate_hurst_dfa(py, cfg).exponent,
