@@ -11,6 +11,7 @@ series and of their cross-correlation.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -89,6 +90,12 @@ def _validate_dist(dist: str, dof) -> None:
     if dist == STUDENT_T:
         if dof is None or not dof > 2:
             raise InvalidParameter("Student-t innovations need dof > 2 for a finite variance")
+
+
+def _require_number(name: str, value) -> None:
+    """Refuse a value that is not a real number, such as a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
 
 
 def _validate_seed(seed) -> int:
@@ -212,12 +219,17 @@ class McArfimaSpec:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
+            _require_number(name, v)
             if not np.isfinite(v):
                 raise InvalidParameter(f"{name} = {v}: weights must be finite")
         for name in ("d1", "d2", "d3", "d4"):
             v = getattr(self, name)
+            _require_number(name, v)
             if not -0.5 < v < 0.5:
                 raise InvalidParameter(f"{name} = {v}: memory parameters must lie in (-0.5, 0.5)")
+        for name in ("dof", "truncation", "burn_in"):
+            if getattr(self, name) is not None:
+                _require_number(name, getattr(self, name))
         s = _validate_sigma(self.sigma)
         s = s.copy()
         s.flags.writeable = False
@@ -250,7 +262,13 @@ class McArfimaSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "McArfimaSpec":
         """Inverse of :meth:`to_dict`."""
-        return cls(**{**d, "sigma": np.asarray(d["sigma"], dtype=float)})
+        try:
+            sigma = np.asarray(d["sigma"], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameter(
+                f"sigma must be a 4x4 array of numbers, got {d['sigma']!r}"
+            ) from None
+        return cls(**{**d, "sigma": sigma})
 
 
 @dataclass(frozen=True, eq=False)

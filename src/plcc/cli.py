@@ -29,13 +29,7 @@ import numpy as np
 
 from . import __version__
 from .arfima import McArfimaSpec, generate_mc_arfima
-from .detrended import (
-    DetrendConfig,
-    JointFluctuations,
-    beta_dcca,
-    default_scale_grid,
-    rho_dcca,
-)
+from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import (
     EstimationFailed,
     InvalidInput,
@@ -64,7 +58,7 @@ from .montecarlo import (
     standard_regimes,
 )
 from .powerlaw import CoherencySettings, coherency_report, h_rho_frequency, rho_decay
-from .spectral import coherency, default_n_freqs, resolve_n_freqs
+from .spectral import coherency, default_n_freqs, resolve_n_freqs, validate_bandwidth
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,10 +88,6 @@ def _read_config(path: str, allowed: set[str]) -> tuple[dict, dict]:
     return cfg, {path: sha256_file(path)}
 
 
-class _RecordMismatch(InvalidInput):
-    """Recorded parameters that do not fit the dataclass they rebuild."""
-
-
 def _record_fields(cls, record, where: str) -> dict:
     """``record`` once its keys are exactly the fields of dataclass ``cls``.
 
@@ -106,15 +96,15 @@ def _record_fields(cls, record, where: str) -> dict:
     manifest instead.
     """
     if not isinstance(record, dict):
-        raise _RecordMismatch(f"manifest parameter '{where}' is not a JSON object")
+        raise InvalidParameter(f"manifest parameter '{where}' is not a JSON object")
     fields = dataclasses.fields(cls)
     for f in fields:
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and f.name not in record:
-            raise _RecordMismatch(f"manifest parameters lack the '{where}.{f.name}' key")
+            raise InvalidParameter(f"manifest parameters lack the '{where}.{f.name}' key")
     unknown = sorted(set(record) - {f.name for f in fields})
     if unknown:
-        raise _RecordMismatch(f"manifest parameter '{where}' has the unknown key '{unknown[0]}'")
+        raise InvalidParameter(f"manifest parameter '{where}' has the unknown key '{unknown[0]}'")
     return record
 
 
@@ -262,10 +252,9 @@ def _analyze_scaling(x, y, params, doc) -> str | None:
 
 
 def _analyze_rho(x, y, params, doc) -> str | None:
-    cfg = _resolve_grid(params, x.size)
-    pairs = rho_dcca(x, y, cfg)
-    values = [v for _, v in pairs]
-    doc["scales"] = [s for s, _ in pairs]
+    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
+    values = [float(r) for r in jf.rho()]
+    doc["scales"] = [int(s) for s in jf.scales]
     doc["values"] = values
     doc["estimate"] = float(np.median(values))
     doc["diagnostics"] = {"statistic": "median correlation across scales"}
@@ -274,10 +263,9 @@ def _analyze_rho(x, y, params, doc) -> str | None:
 
 
 def _analyze_beta(x, y, params, doc) -> str | None:
-    cfg = _resolve_grid(params, x.size)
-    pairs = beta_dcca(x, y, cfg)
-    values = [v for _, v in pairs]
-    scales = [s for s, _ in pairs]
+    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
+    values = [float(b) for b in jf.beta()]
+    scales = [int(s) for s in jf.scales]
     k = len(values)
     mid = slice(k // 4, k - k // 4)
     doc["scales"] = scales
@@ -292,9 +280,7 @@ def _analyze_beta(x, y, params, doc) -> str | None:
 
 
 def _analyze_coherency(x, y, params, doc) -> str | None:
-    est = coherency(x, y, params["bandwidth"])
-    freqs = est.frequencies
-    values = est.values
+    freqs, values = coherency(x, y, params["bandwidth"])
     if params.get("n_freqs") is not None:
         n = int(params["n_freqs"])
         if n < 1:
@@ -303,7 +289,7 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
     doc["scales"] = [float(f) for f in freqs]
     doc["values"] = [float(v) for v in values]
     doc["diagnostics"] = {
-        "bandwidth": est.smoothing_bandwidth,
+        "bandwidth": validate_bandwidth(params["bandwidth"]),
         "abscissa": "fourier frequency",
     }
     doc["plot"] = _plot_block(freqs, values, None, None)
@@ -589,7 +575,9 @@ def _cmd_replay(args) -> int:
         code, _ = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
     except KeyError as exc:
         raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
-    except _RecordMismatch as exc:
+    except InvalidParameter as exc:
+        # a fresh run refuses a bad parameter before it writes a manifest,
+        # so in a replay (--jobs aside) the record holds it
         raise InvalidInput(f"{args.manifest}: {exc}") from None
     recorded = man.get("outputs", {})
     mismatched = []

@@ -10,6 +10,7 @@ as ``s**(2H)``; with two series it is the covariance-like analogue.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,11 +30,15 @@ __all__ = [
     "JointFluctuations",
     "min_scale_for_order",
     "default_scale_grid",
-    "estimate_hurst_dfa",
-    "estimate_hxy_dcca",
-    "rho_dcca",
-    "beta_dcca",
 ]
+
+
+def _checked_order(poly_order) -> int:
+    """The detrending order as an int; it must be a non-negative integer."""
+    number = isinstance(poly_order, numbers.Real) and not isinstance(poly_order, bool)
+    if not number or poly_order < 0 or poly_order % 1 != 0:
+        raise InvalidParameter("poly_order must be a non-negative integer")
+    return int(poly_order)
 
 
 def min_scale_for_order(poly_order: int) -> int:
@@ -56,9 +61,7 @@ class DetrendConfig:
     poly_order: int = 1
 
     def __post_init__(self):
-        order = int(self.poly_order)
-        if order != self.poly_order or order < 0:
-            raise InvalidParameter("poly_order must be a non-negative integer")
+        order = _checked_order(self.poly_order)
         grid = np.asarray(self.scale_grid)
         if grid.size and not np.issubdtype(grid.dtype, np.integer):
             if not np.all(grid == np.floor(grid)):
@@ -91,7 +94,7 @@ def default_scale_grid(
     capping the top is useful when a cross signal drowns in fluctuation noise
     at large scales.
     """
-    lo = min_scale_for_order(poly_order)
+    lo = min_scale_for_order(_checked_order(poly_order))
     if min_scale is not None:
         lo = max(lo, int(min_scale))
     hi = int(length) // 5
@@ -145,10 +148,10 @@ class JointFluctuations:
 
     ``scales`` is the grid of ``cfg``; ``fxx``, ``fyy`` and ``fxy`` are the
     pooled second moments F2_x, F2_y and F2_xy of the box residuals at those
-    scales. With ``y`` None the pass is univariate and all three curves are
-    F2_x. Using one box layout for all three curves is what makes the
-    correlation coefficient built from them obey the Cauchy-Schwarz bound
-    scale by scale.
+    scales, as read-only arrays. With ``y`` None the pass is univariate and
+    all three curves are F2_x. Using one box layout for all three curves is
+    what makes the correlation coefficient built from them obey the
+    Cauchy-Schwarz bound scale by scale.
 
     The readers (:meth:`hurst_x`, :meth:`hurst_y`, :meth:`hxy`, :meth:`rho`,
     :meth:`beta`) turn the curves into the detrended statistics. An
@@ -200,6 +203,8 @@ class JointFluctuations:
             else:
                 fyy[i] = (ry * ry).mean(axis=1).mean()
                 fxy[i] = (rx * ry).mean(axis=1).mean()
+        for curve in (fxx, fyy, fxy):
+            curve.flags.writeable = False
         self._fxx, self._fyy, self._fxy = fxx, fyy, fxy
 
     @property
@@ -237,7 +242,13 @@ class JointFluctuations:
         return _fit_scaling(self.scales, self.fyy, divisor=2.0)
 
     def hxy(self) -> ScalingFit:
-        """Cross-memory exponent H_xy: half the log-log slope of |F2_xy|."""
+        """Cross-memory exponent H_xy: half the log-log slope of |F2_xy|.
+
+        ``diagnostics`` counts the negative curve values (``sign_flips``) and
+        the sign alternations along the scale axis (``sign_changes``). Many
+        alternations leave no power law to read; a curve that stays negative,
+        as for an anti-correlated pair, is fine.
+        """
         return _fit_scaling(self.scales, self.fxy, divisor=2.0)
 
     def rho(self) -> np.ndarray:
@@ -249,7 +260,10 @@ class JointFluctuations:
         return np.clip(fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
 
     def beta(self) -> np.ndarray:
-        """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses."""
+        """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses.
+
+        Invariant under adding a constant to either series; linear in ``y``.
+        """
         fxy = self.fxy
         if np.any(self._fxx <= 0):
             raise DegenerateInput("zero detrended variance of the regressor at some scale")
@@ -257,7 +271,7 @@ class JointFluctuations:
 
 
 # =========================================================================
-# Exponent estimates and scale-specific coefficients
+# Scaling fit of a fluctuation curve
 # =========================================================================
 
 
@@ -285,39 +299,3 @@ def _fit_scaling(scales, values, divisor: float, min_points: int = 3) -> Scaling
         },
     )
 
-
-def estimate_hurst_dfa(x, cfg: DetrendConfig) -> ScalingFit:
-    """Memory exponent H from the slope of log F2(s) on log s, divided by 2."""
-    return JointFluctuations(x, None, cfg).hurst_x()
-
-
-def estimate_hxy_dcca(x, y, cfg: DetrendConfig) -> ScalingFit:
-    """Cross-memory exponent H_xy from the detrended covariance curve.
-
-    Negative curve values enter the fit through their absolute value; the
-    count is reported as ``diagnostics["sign_flips"]`` and the number of
-    sign alternations along the scale axis as ``diagnostics["sign_changes"]``.
-    Frequent alternations mean the power-law reading is not trustworthy (a
-    stably negative curve, e.g. for anti-correlated pairs, is fine).
-    """
-    return JointFluctuations(x, y, cfg).hxy()
-
-
-def rho_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
-    """Scale-specific correlation F2_xy / sqrt(F2_x F2_y) per scale.
-
-    Shares one box layout across the three curves, so every coefficient lies
-    in [-1, 1] (clipping absorbs at most floating-point rounding).
-    """
-    jf = JointFluctuations(x, y, cfg)
-    return [(int(s), float(r)) for s, r in zip(jf.scales, jf.rho())]
-
-
-def beta_dcca(x, y, cfg: DetrendConfig) -> list[tuple[int, float]]:
-    """Scale-specific regression coefficient F2_xy / F2_x per scale.
-
-    ``x`` is the regressor. Invariant under adding a constant to either
-    series and scales linearly in ``y``.
-    """
-    jf = JointFluctuations(x, y, cfg)
-    return [(int(s), float(b)) for s, b in zip(jf.scales, jf.beta())]

@@ -10,6 +10,7 @@ than aborting the experiment.
 from __future__ import annotations
 
 import functools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
@@ -94,6 +95,12 @@ def split_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a value that is not an integer, such as a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 def theoretical_exponents(spec: McArfimaSpec) -> dict:
     """Asymptotic exponents implied by the dominant components of a spec.
 
@@ -138,6 +145,17 @@ class ExperimentConfig:
     scale_max: int | None = None
 
     def __post_init__(self):
+        for name in ("replications", "master_seed", "n_scales"):
+            _require_int(name, getattr(self, name))
+        for name in ("n_freqs", "scale_min", "scale_max"):
+            if getattr(self, name) is not None:
+                _require_int(name, getattr(self, name))
+        for name in ("lengths", "estimators"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)):
+                raise InvalidParameter(f"{name} must be a list or tuple, got {v!r}")
+        for length in self.lengths:
+            _require_int("every length", length)
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 2:
@@ -146,7 +164,9 @@ class ExperimentConfig:
             raise InvalidParameter("every length must be at least 256")
         if not self.estimators:
             raise InvalidParameter("estimators must not be empty")
-        unknown = [tok for tok in self.estimators if tok not in ESTIMATORS]
+        unknown = [
+            tok for tok in self.estimators if not isinstance(tok, str) or tok not in ESTIMATORS
+        ]
         if unknown:
             raise InvalidParameter(f"unknown estimators: {unknown}")
         if self.master_seed < 0:
@@ -463,6 +483,7 @@ def standard_regimes(
     pair under Student-t(3) innovations. "short-memory": correlated white
     noise.
     """
+    _require_int("length", length)
     common = dict(
         lengths=(length,), replications=replications,
         estimators=("dfa", "dcca"), master_seed=master_seed,

@@ -29,7 +29,6 @@ __all__ = [
     "CoherencySettings",
     "CoherencyReport",
     "h_rho_frequency",
-    "h_rho_time",
     "rho_decay",
     "classify",
     "coherency_report",
@@ -65,25 +64,17 @@ def h_rho_frequency(x, y, n_freqs: int | None = None, bandwidth: int = 11) -> Sc
     b = validate_bandwidth(bandwidth)
     vx = series_values(x)
     n = resolve_n_freqs(n_freqs, vx.size)
-    est = coherency(vx, y, b)
-    return _fit_power_decay(est.frequencies[:n], est.values[:n], divisor=-4.0)
-
-
-def h_rho_time(x, y, cfg: DetrendConfig | None = None) -> ScalingFit:
-    """Coherency-decay exponent from the squared scale-specific correlation.
-
-    Fits ``log rho2(s)`` on ``log s`` over the configured scales and divides
-    the slope by 4. Zero coefficients are dropped; fewer than 5 survivors
-    fail.
-    """
-    vx = series_values(x)
-    if cfg is None:
-        cfg = DetrendConfig(default_scale_grid(vx.size))
-    return rho_decay(JointFluctuations(vx, y, cfg))
+    freqs, k2 = coherency(vx, y, b)
+    return _fit_power_decay(freqs[:n], k2[:n], divisor=-4.0)
 
 
 def rho_decay(jf: JointFluctuations) -> ScalingFit:
-    """The :func:`h_rho_time` fit read from an existing fluctuation pass."""
+    """Coherency-decay exponent from the squared scale-specific correlation.
+
+    Fits ``log rho2(s)`` on ``log s`` over the scales of the pass and divides
+    the slope by 4. Zero coefficients are dropped; fewer than 5 survivors
+    fail.
+    """
     rho = jf.rho()
     return _fit_power_decay(jf.scales, rho * rho, divisor=4.0)
 

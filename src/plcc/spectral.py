@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectralEstimate",
     "periodogram",
     "cross_periodogram",
     "coherency",
@@ -35,46 +33,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_KINDS = ("auto", "cross", "coherency")
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralEstimate:
-    """Ordinates on the positive Fourier frequencies.
-
-    ``values`` is real for kind "auto" (non-negative) and "coherency"
-    (within [0, 1]), complex for kind "cross". ``smoothing_bandwidth`` is 1
-    for raw ordinates.
-    """
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    kind: str
-    smoothing_bandwidth: int = 1
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParameter(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values)
-        if f.size != v.size:
-            raise InvalidInput("frequencies and values must have equal length")
-        if f.size and (f[0] <= 0 or f[-1] > math.pi + 1e-12):
-            raise InvalidInput("frequencies must lie in (0, pi]")
-        b = int(self.smoothing_bandwidth)
-        if b < 1 or b % 2 == 0:
-            raise InvalidParameter("smoothing_bandwidth must be an odd positive integer")
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "smoothing_bandwidth", b)
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
 
 
 # =========================================================================
@@ -121,8 +79,8 @@ def _cross_parts(dx: np.ndarray, dy: np.ndarray, t: int) -> tuple[np.ndarray, np
     return re / norm, im / norm
 
 
-def periodogram(x) -> SpectralEstimate:
-    """Periodogram ordinates ``|DFT|^2 / (2 pi T)`` at the Fourier frequencies.
+def periodogram(x) -> tuple[np.ndarray, np.ndarray]:
+    """``(frequencies, ordinates)``: ``|DFT|^2 / (2 pi T)`` at the Fourier frequencies.
 
     The series is de-meaned first (equivalently the zero frequency is
     dropped). Parseval's identity ties the ordinates to the sample variance;
@@ -130,18 +88,18 @@ def periodogram(x) -> SpectralEstimate:
     the origin.
     """
     t, (d,) = _dfts(x)
-    return SpectralEstimate(_fourier_frequencies(t), _cross_parts(d, d, t)[0], "auto")
+    return _fourier_frequencies(t), _cross_parts(d, d, t)[0]
 
 
-def cross_periodogram(x, y) -> SpectralEstimate:
-    """Complex cross-ordinates ``DFT_x * conj(DFT_y) / (2 pi T)``.
+def cross_periodogram(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(frequencies, ordinates)``: complex ``DFT_x * conj(DFT_y) / (2 pi T)``.
 
     With ``y`` equal to ``x`` this reduces exactly to the periodogram (zero
     phase); swapping the arguments conjugates the values.
     """
     t, (dx, dy) = _dfts(x, y)
     re, im = _cross_parts(dx, dy, t)
-    return SpectralEstimate(_fourier_frequencies(t), re + 1j * im, "cross")
+    return _fourier_frequencies(t), re + 1j * im
 
 
 # =========================================================================
@@ -174,8 +132,8 @@ def _smoothed_cross(dx: np.ndarray, dy: np.ndarray, t: int, bandwidth: int):
     return _flat_smooth(re, bandwidth), _flat_smooth(im, bandwidth)
 
 
-def coherency(x, y, bandwidth: int = 11) -> SpectralEstimate:
-    """Squared spectral coherency from flat-window smoothed ordinates.
+def coherency(x, y, bandwidth: int = 11) -> tuple[np.ndarray, np.ndarray]:
+    """``(frequencies, K2)``: squared coherency from flat-window smoothed ordinates.
 
     Smoothing is mandatory: the raw ratio ``|I_xy|^2 / (I_x I_y)`` is
     identically one at every frequency, so the bandwidth must be an odd
@@ -193,7 +151,7 @@ def coherency(x, y, bandwidth: int = 11) -> SpectralEstimate:
     k2 = np.zeros_like(num)
     live = den > 0
     k2[live] = num[live] / den[live]
-    return SpectralEstimate(_fourier_frequencies(t), np.clip(k2, 0.0, 1.0), "coherency", b)
+    return _fourier_frequencies(t), np.clip(k2, 0.0, 1.0)
 
 
 # =========================================================================

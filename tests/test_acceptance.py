@@ -22,10 +22,7 @@ from plcc.core import fit_loglog
 from plcc.detrended import (
     DetrendConfig,
     JointFluctuations,
-    beta_dcca,
     default_scale_grid,
-    estimate_hurst_dfa,
-    rho_dcca,
 )
 from plcc.montecarlo import (
     ExperimentConfig,
@@ -34,7 +31,7 @@ from plcc.montecarlo import (
     split_seed,
     standard_regimes,
 )
-from plcc.powerlaw import _fit_power_decay, classify, h_rho_frequency, h_rho_time
+from plcc.powerlaw import _fit_power_decay, classify, h_rho_frequency, rho_decay
 from plcc.spectral import coherency, estimate_h_logperiodogram
 from plcc.fileio import sha256_file
 
@@ -76,7 +73,7 @@ def anti_run():
         out["hx"].append(hx)
         out["hy"].append(hy)
         out["hxy"].append(hxy)
-        out["time"].append(h_rho_time(x, y, cap_grid).exponent)
+        out["time"].append(rho_decay(JointFluctuations(x, y, cap_grid)).exponent)
         out["freq"].append(h_rho_frequency(x, y, n_freqs=4096, bandwidth=301).exponent)
         out["gap"].append(hxy - (hx + hy) / 2.0)
         out["labels"].append(classify(hx, hy, hxy))
@@ -95,7 +92,7 @@ def test_univariate_memory_recovery_within_tolerance():
         dfa_vals, gph_vals = [], []
         for rep in range(100):
             x = generate_arfima(d, t, split_seed(101, di * 100 + rep))
-            dfa_vals.append(estimate_hurst_dfa(x, cfg).exponent)
+            dfa_vals.append(JointFluctuations(x, None, cfg).hurst_x().exponent)
             gph_vals.append(estimate_h_logperiodogram(x).exponent)
         target = 0.5 + d
         report.append((d, target, np.mean(dfa_vals), np.mean(gph_vals)))
@@ -212,11 +209,11 @@ def test_exact_identity_suite():
         heavy = rng.integers(2) == 1
         x = rng.standard_t(2, 512) if heavy else rng.standard_normal(512)
         y = rng.standard_t(2, 512) if heavy else rng.standard_normal(512)
-        assert all(-1.0 <= r <= 1.0 for _, r in rho_dcca(x, y, grid))
+        assert all(-1.0 <= r <= 1.0 for r in JointFluctuations(x, y, grid).rho())
     for _ in range(1000):
         u = rng.standard_normal(256)
         v = rng.standard_normal(256)
-        k2 = coherency(u, v, bandwidth=11).values
+        _, k2 = coherency(u, v, bandwidth=11)
         assert np.all((k2 >= 0.0) & (k2 <= 1.0))
 
     x = rng.standard_normal(2048)
@@ -225,12 +222,12 @@ def test_exact_identity_suite():
     assert np.array_equal(
         JointFluctuations(x, x.copy(), cfg).fxy, JointFluctuations(x, None, cfg).fxx
     )
-    assert all(r == 1.0 for _, r in rho_dcca(x, x.copy(), cfg))
-    assert all(r == -1.0 for _, r in rho_dcca(x, -x, cfg))
-    assert np.all(coherency(x, x.copy(), bandwidth=11).values == 1.0)
+    assert all(r == 1.0 for r in JointFluctuations(x, x.copy(), cfg).rho())
+    assert all(r == -1.0 for r in JointFluctuations(x, -x, cfg).rho())
+    assert np.all(coherency(x, x.copy(), bandwidth=11)[1] == 1.0)
     base = JointFluctuations(x, y, cfg).fxy
     assert np.array_equal(JointFluctuations(2 * x, 4 * y, cfg).fxy, 8 * base)
-    assert all(b == -4.0 for _, b in beta_dcca(x, -4 * x, cfg))
+    assert all(b == -4.0 for b in JointFluctuations(x, -4 * x, cfg).beta())
     fit = fit_loglog([(4.0, 3.0 * 4.0**1.8), (8.0, 3.0 * 8.0**1.8), (16.0, 3.0 * 16.0**1.8)], 2.0)
     assert fit.exponent == pytest.approx(0.9, abs=1e-9)
     print("rho bounds (1000 pairs), coherency bounds (1000 pairs), bitwise identities: ok")
@@ -260,8 +257,7 @@ def test_scale_regression_recovers_shared_slope():
     x = generate_arfima(0.3, t, split_seed(808, 0))
     noise = np.random.default_rng(split_seed(808, 1)).standard_normal(t)
     y = 2.0 * x + noise
-    pairs = beta_dcca(x, y, DetrendConfig(default_scale_grid(t)))
-    values = [b for _, b in pairs]
+    values = JointFluctuations(x, y, DetrendConfig(default_scale_grid(t))).beta()
     k = len(values)
     mid = values[k // 4 : k - k // 4]
     med = float(np.median(mid))

@@ -8,7 +8,7 @@ import pytest
 
 from plcc.arfima import generate_arfima
 from plcc.cli import main
-from plcc.detrended import DetrendConfig, default_scale_grid, estimate_hurst_dfa, rho_dcca
+from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import EstimationFailed
 from plcc.fileio import read_series_csv, sha256_file, write_series_csv
 from plcc.powerlaw import coherency_report
@@ -251,7 +251,9 @@ def test_report_makes_one_fluctuation_pass(tmp_path, pair_csv, monkeypatch):
     doc = json.load(open(out))
     x, y = read_series_csv(pair_csv)
     cfg = DetrendConfig(doc["manifest"]["parameters"]["scale_grid"])
-    assert list(zip(doc["scales"], doc["values"])) == rho_dcca(x, y, cfg)
+    jf = JointFluctuations(x, y, cfg)
+    want = list(zip(jf.scales.tolist(), jf.rho().tolist()))
+    assert list(zip(doc["scales"], doc["values"])) == want
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])
@@ -280,7 +282,7 @@ def test_report_with_a_constant_side_keeps_per_channel_outcome(tmp_path, constan
     live_name = "h_y" if constant == "x" else "h_x"
     rep = coherency_report(x, y)
     assert rep.failures == failures
-    fit = estimate_hurst_dfa(live, DetrendConfig(default_scale_grid(t)))
+    fit = JointFluctuations(live, None, DetrendConfig(default_scale_grid(t))).hurst_x()
     assert getattr(rep, live_name) == fit
     assert doc["channels"][live_name]["estimate"] == fit.exponent
 
@@ -351,17 +353,23 @@ def test_replay_mc_single_experiment(tmp_path, capsys):
 
 
 def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
-    # a manifest that lacks a parameter or is not a JSON object is a usage
-    # error naming the manifest, and the replay writes nothing
+    # a manifest that lacks a parameter, records a value of the wrong type
+    # or is not a JSON object is a usage error naming the manifest, and the
+    # replay writes nothing
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "g.cfg", GEN_CFG)
     _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    _write(tmp_path / "suite.cfg", "mc.suite = standard-regimes\nmc.length = 1024\n"
+           "mc.replications = 2\n")
     assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
     assert main(["dcca", "pair.csv", "--out", "fit.json"]) == 0
     assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
+    assert main(["mc", "suite.cfg", "--out-dir", "suite"]) == 0
+    mc = os.path.join("runs", "smoke.json")
+    suite = os.path.join("suite", "summary.json")
     real = {
         name: json.load(open(f"{name}.manifest.json"))
-        for name in ("pair.csv", "fit.json", os.path.join("runs", "smoke.json"))
+        for name in ("pair.csv", "fit.json", mc, suite)
     }
     cases = [
         ('{"tool": "plcc", "subcommand": "generate", "parameters": {}}',
@@ -381,8 +389,7 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         del doc["parameters"][key]
         cases.append((json.dumps(doc), f"manifest parameters lack the '{key}' key"))
     # the generator spec and the mc config are rebuilt from nested records,
-    # which must hold every required field and no other
-    mc = os.path.join("runs", "smoke.json")
+    # which must hold every required field, each of its type, and no other
     for name, path, edit, message in (
         ("pair.csv", ["spec"], {"d1": None}, "manifest parameters lack the 'spec.d1' key"),
         ("pair.csv", ["spec"], {"zeta": 1.0},
@@ -394,6 +401,9 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
          "manifest parameter 'config_echo' has the unknown key 'jobs'"),
         (mc, ["config_echo", "spec"], {"sigma": None},
          "manifest parameters lack the 'config_echo.spec.sigma' key"),
+        ("pair.csv", ["spec"], {"d1": "0.3"}, "d1 must be a number, got '0.3'"),
+        (mc, ["config_echo"], {"replications": "3"}, "replications must be an integer, got '3'"),
+        (suite, [], {"replications": "2"}, "replications must be an integer, got '2'"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]

@@ -9,12 +9,8 @@ from plcc.arfima import McArfimaSpec, generate_arfima, generate_mc_arfima
 from plcc.detrended import (
     DetrendConfig,
     JointFluctuations,
-    beta_dcca,
     default_scale_grid,
-    estimate_hurst_dfa,
-    estimate_hxy_dcca,
     min_scale_for_order,
-    rho_dcca,
 )
 from plcc.errors import (
     DegenerateInput,
@@ -164,7 +160,9 @@ def test_dfa_white_noise_band():
     vals = []
     for rep in range(30):
         w = np.random.default_rng(split_seed(1010, rep)).standard_normal(8192)
-        vals.append(estimate_hurst_dfa(w, DetrendConfig(default_scale_grid(8192))).exponent)
+        vals.append(
+            JointFluctuations(w, None, DetrendConfig(default_scale_grid(8192))).hurst_x().exponent
+        )
     assert 0.44 < np.mean(vals) < 0.56
 
 
@@ -172,7 +170,9 @@ def test_dfa_long_memory_band():
     vals = []
     for rep in range(20):
         a = generate_arfima(0.4, 8192, split_seed(1011, rep))
-        vals.append(estimate_hurst_dfa(a, DetrendConfig(default_scale_grid(8192))).exponent)
+        vals.append(
+            JointFluctuations(a, None, DetrendConfig(default_scale_grid(8192))).hurst_x().exponent
+        )
     assert 0.80 < np.mean(vals) < 0.98
 
 
@@ -182,9 +182,9 @@ def test_correlated_pair_cross_exponent_near_average():
     for rep in range(100):
         pair = generate_mc_arfima(spec, 16384, split_seed(1404, rep))
         cfg = DetrendConfig(default_scale_grid(16384))
-        hxs.append(estimate_hurst_dfa(pair.x, cfg).exponent)
-        hys.append(estimate_hurst_dfa(pair.y, cfg).exponent)
-        hxys.append(estimate_hxy_dcca(pair.x, pair.y, cfg).exponent)
+        hxs.append(JointFluctuations(pair.x, None, cfg).hurst_x().exponent)
+        hys.append(JointFluctuations(pair.y, None, cfg).hurst_x().exponent)
+        hxys.append(JointFluctuations(pair.x, pair.y, cfg).hxy().exponent)
     assert 0.82 < np.mean(hxs) < 0.98
     assert 0.82 < np.mean(hys) < 0.98
     gap = np.mean(hxys) - (np.mean(hxs) + np.mean(hys)) / 2.0
@@ -199,11 +199,11 @@ def test_white_noise_pair_is_flagged():
         cfg = DetrendConfig(default_scale_grid(4096))
         g1 = np.random.default_rng(split_seed(707, rep)).standard_normal(4096)
         g2 = np.random.default_rng(split_seed(708, rep)).standard_normal(4096)
-        fit = estimate_hxy_dcca(g1, g2, cfg)
+        fit = JointFluctuations(g1, g2, cfg).hxy()
         wide_err.append(fit.stderr)
         flips.append(fit.diagnostics["sign_flips"])
         pair = generate_mc_arfima(spec, 4096, split_seed(709, rep))
-        narrow_err.append(estimate_hxy_dcca(pair.x, pair.y, cfg).stderr)
+        narrow_err.append(JointFluctuations(pair.x, pair.y, cfg).hxy().stderr)
     assert np.median(flips) >= 3
     assert np.median(wide_err) > 0.04
     assert np.median(narrow_err) < 0.02
@@ -288,10 +288,10 @@ def test_rho_bound_holds_on_student_t_inputs(seed, length, order):
 
 def test_rho_affine_invariance(xy_pair):
     x, y, cfg = xy_pair
-    base = np.array([r for _, r in rho_dcca(x, y, cfg)])
-    scaled = np.array([r for _, r in rho_dcca(2 * x, 8 * y, cfg)])
+    base = JointFluctuations(x, y, cfg).rho()
+    scaled = JointFluctuations(2 * x, 8 * y, cfg).rho()
     assert np.array_equal(scaled, base)
-    shifted = np.array([r for _, r in rho_dcca(3 * x + 5.0, -2 * y + 1.0, cfg)])
+    shifted = JointFluctuations(3 * x + 5.0, -2 * y + 1.0, cfg).rho()
     assert np.allclose(shifted, -base, atol=1e-12)
 
 
@@ -301,7 +301,7 @@ def test_rho_bounded_on_rough_inputs():
     for _ in range(50):
         x = rng.standard_t(2, 512)  # heavy tails stress the bound
         y = rng.standard_t(2, 512)
-        assert all(-1.0 <= r <= 1.0 for _, r in rho_dcca(x, y, cfg))
+        assert all(-1.0 <= r <= 1.0 for r in JointFluctuations(x, y, cfg).rho())
 
 
 def test_rho_independent_noise_stays_small():
@@ -316,33 +316,33 @@ def test_rho_independent_noise_stays_small():
     for rep in range(reps):
         u = np.random.default_rng(split_seed(711, 2 * rep)).standard_normal(t)
         v = np.random.default_rng(split_seed(711, 2 * rep + 1)).standard_normal(t)
-        vals = np.array([r for _, r in rho_dcca(u, v, DetrendConfig(grid))])
+        vals = JointFluctuations(u, v, DetrendConfig(grid)).rho()
         acc += np.abs(vals[keep])
     assert np.all(acc / reps < 0.1)
 
 
 def test_beta_exact_coefficients(xy_pair):
     x, _, cfg = xy_pair
-    assert all(b == 1.0 for _, b in beta_dcca(x, x.copy(), cfg))
-    assert all(b == -4.0 for _, b in beta_dcca(x, -4 * x, cfg))
-    for _, b in beta_dcca(x, -3 * x, cfg):
+    assert all(b == 1.0 for b in JointFluctuations(x, x.copy(), cfg).beta())
+    assert all(b == -4.0 for b in JointFluctuations(x, -4 * x, cfg).beta())
+    for b in JointFluctuations(x, -3 * x, cfg).beta():
         assert b == pytest.approx(-3.0, rel=5e-15)
 
 
 def test_beta_scaling_identities(xy_pair):
     x, y, cfg = xy_pair
-    base = np.array([b for _, b in beta_dcca(x, y, cfg)])
-    assert np.array_equal([b for _, b in beta_dcca(x, 2 * y, cfg)], 2 * base)
-    assert np.array_equal([b for _, b in beta_dcca(2 * x, y, cfg)], base / 2)
-    shifted = np.array([b for _, b in beta_dcca(x + 11.0, y - 4.0, cfg)])
+    base = JointFluctuations(x, y, cfg).beta()
+    assert np.array_equal(JointFluctuations(x, 2 * y, cfg).beta(), 2 * base)
+    assert np.array_equal(JointFluctuations(2 * x, y, cfg).beta(), base / 2)
+    shifted = JointFluctuations(x + 11.0, y - 4.0, cfg).beta()
     assert np.allclose(shifted, base, atol=1e-12)
 
 
 def test_beta_consistency_identities(xy_pair):
     x, y, cfg = xy_pair
-    bxy = np.array([b for _, b in beta_dcca(x, y, cfg)])
-    byx = np.array([b for _, b in beta_dcca(y, x, cfg)])
-    rho = np.array([r for _, r in rho_dcca(x, y, cfg)])
+    bxy = JointFluctuations(x, y, cfg).beta()
+    byx = JointFluctuations(y, x, cfg).beta()
+    rho = JointFluctuations(x, y, cfg).rho()
     assert np.allclose(bxy * byx, rho * rho, rtol=1e-10, atol=1e-14)
     # beta times the regressor curve reproduces the cross curve
     jf = JointFluctuations(x, y, cfg)
@@ -357,25 +357,35 @@ def test_beta_attenuation_with_shared_regressor():
     noise = np.random.default_rng(split_seed(812, 1)).standard_normal(16384)
     y = 2.0 * x + x.std() * noise
     cfg = DetrendConfig(default_scale_grid(16384))
-    vals = [b for _, b in beta_dcca(x, y, cfg)]
+    vals = JointFluctuations(x, y, cfg).beta()
     mid = vals[len(vals) // 4 : len(vals) - len(vals) // 4]
     assert all(1.8 <= b <= 2.2 for b in mid)
+
+
+def test_curves_are_read_only(xy_pair):
+    x, y, cfg = xy_pair
+    jf = JointFluctuations(x, y, cfg)
+    rho = jf.rho()
+    for curve in (jf.fxx, jf.fyy, jf.fxy):
+        with pytest.raises(ValueError):
+            curve[:] *= 4
+    assert np.array_equal(jf.rho(), rho)
 
 
 def test_degenerate_inputs_raise(xy_pair):
     x, y, cfg = xy_pair
     const = np.full_like(x, 2.5)
     with pytest.raises(DegenerateInput):
-        rho_dcca(x, const, cfg)
+        JointFluctuations(x, const, cfg).rho()
     with pytest.raises(DegenerateInput):
-        beta_dcca(const, y, cfg)
+        JointFluctuations(const, y, cfg).beta()
     with pytest.raises(InvalidInput):
         JointFluctuations(x, y[:-1], cfg)
 
 
 def test_estimate_diagnostics_present(xy_pair):
     x, y, cfg = xy_pair
-    fit = estimate_hxy_dcca(x, y, cfg)
+    fit = JointFluctuations(x, y, cfg).hxy()
     assert set(fit.diagnostics) == {"sign_flips", "sign_changes", "dropped_nonpositive"}
-    fit2 = estimate_hurst_dfa(x, cfg)
+    fit2 = JointFluctuations(x, None, cfg).hurst_x()
     assert fit2.diagnostics["sign_flips"] == 0

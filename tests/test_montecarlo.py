@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec
 from plcc.errors import InvalidParameter
+from plcc.fileio import json_dumps
 from plcc.montecarlo import (
+    ESTIMATORS,
     ExperimentConfig,
     feasibility_sweep,
     run_experiment,
@@ -171,6 +175,21 @@ def test_thread_count_does_not_change_results(small_result):
     assert threaded.to_dict() == serial.to_dict()
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**32 - 1),
+    estimators=st.lists(st.sampled_from(sorted(ESTIMATORS)), min_size=1, max_size=4, unique=True),
+    jobs=st.integers(1, 3),
+)
+def test_result_bytes_do_not_depend_on_jobs(master_seed, estimators, jobs):
+    cfg = ExperimentConfig(
+        spec=STANDARD, lengths=(512,), replications=3,
+        estimators=tuple(estimators), master_seed=master_seed,
+    )
+    serial = json_dumps(run_experiment(cfg, jobs=1).to_dict())
+    assert json_dumps(run_experiment(cfg, jobs=jobs).to_dict()) == serial
+
+
 def test_result_structure(small_result):
     cfg, res = small_result
     assert res.label == "small"
@@ -250,7 +269,7 @@ def test_independent_pair_cross_fit_is_gated():
 
 def test_silent_side_leaves_the_other_marginal_measured():
     # y is identically zero: every measurement that reads it fails, while
-    # H_x comes from its own curve of the same pass, as estimate_hurst_dfa
+    # H_x comes from its own curve of the same pass, as a univariate pass
     # reads it
     spec = McArfimaSpec(1, 0, 0, 0, 0.3, 0.0, 0.0, 0.0, _sigma())
     res = run_experiment(ExperimentConfig(

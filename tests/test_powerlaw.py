@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_mc_arfima
-from plcc.detrended import (
-    DetrendConfig,
-    beta_dcca,
-    default_scale_grid,
-    estimate_hurst_dfa,
-    estimate_hxy_dcca,
-    rho_dcca,
-)
+from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import InvalidParameter, PlccError
 from plcc.montecarlo import ExperimentConfig, run_experiment, split_seed
 from plcc.powerlaw import (
@@ -21,7 +14,7 @@ from plcc.powerlaw import (
     classify,
     coherency_report,
     h_rho_frequency,
-    h_rho_time,
+    rho_decay,
 )
 
 
@@ -75,7 +68,7 @@ def test_frequency_channel_drops_zero_ordinates():
 
 def test_time_channel_runs_on_correlated_pair():
     pair = generate_mc_arfima(_standard_spec(), 4096, split_seed(31, 0))
-    fit = h_rho_time(pair.x, pair.y)
+    fit = rho_decay(JointFluctuations(pair.x, pair.y, DetrendConfig(default_scale_grid(4096))))
     assert np.isfinite(fit.exponent)
     assert fit.stderr >= 0.0
 
@@ -215,11 +208,11 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     pair = generate_mc_arfima(spec, length, seed)
     x, y = pair.x, pair.y
     rep = coherency_report(x, y, CoherencySettings(detrend=cfg))
-    assert _channel(rep, "h_x") == _outcome(estimate_hurst_dfa, x, cfg)
-    assert _channel(rep, "h_y") == _outcome(estimate_hurst_dfa, y, cfg)
-    assert _channel(rep, "h_xy") == _outcome(estimate_hxy_dcca, x, y, cfg)
-    assert _channel(rep, "h_rho_time") == _outcome(h_rho_time, x, y, cfg)
-    assert rep.rho_at_max_scale == rho_dcca(x, y, cfg)[-1][1]
+    assert _channel(rep, "h_x") == _outcome(lambda: JointFluctuations(x, None, cfg).hurst_x())
+    assert _channel(rep, "h_y") == _outcome(lambda: JointFluctuations(y, None, cfg).hurst_x())
+    assert _channel(rep, "h_xy") == _outcome(lambda: JointFluctuations(x, y, cfg).hxy())
+    assert _channel(rep, "h_rho_time") == _outcome(lambda: rho_decay(JointFluctuations(x, y, cfg)))
+    assert rep.rho_at_max_scale == JointFluctuations(x, y, cfg).rho()[-1]
 
     mc_cfg = ExperimentConfig(
         spec=spec, lengths=(length,), replications=2, master_seed=seed,
@@ -230,11 +223,11 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
         pair = generate_mc_arfima(spec, length, split_seed(seed, r))
         px, py = pair.x, pair.y
         library = {
-            "dfa_hx": estimate_hurst_dfa(px, cfg).exponent,
-            "dfa_hy": estimate_hurst_dfa(py, cfg).exponent,
-            "rho_median": float(np.median([v for _, v in rho_dcca(px, py, cfg)])),
-            "beta_median": float(np.median([v for _, v in beta_dcca(px, py, cfg)])),
-            "h_rho_time": h_rho_time(px, py, cfg).exponent,
+            "dfa_hx": JointFluctuations(px, None, cfg).hurst_x().exponent,
+            "dfa_hy": JointFluctuations(py, None, cfg).hurst_x().exponent,
+            "rho_median": float(np.median(JointFluctuations(px, py, cfg).rho())),
+            "beta_median": float(np.median(JointFluctuations(px, py, cfg).beta())),
+            "h_rho_time": rho_decay(JointFluctuations(px, py, cfg)).exponent,
         }
         for name, value in library.items():
             assert res.samples(name, length)[r] == value, name
