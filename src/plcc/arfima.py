@@ -34,6 +34,7 @@ __all__ = [
 GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 _DISTRIBUTIONS = (GAUSSIAN, STUDENT_T)
+_GENERATORS = (1, 2)
 
 
 # =========================================================================
@@ -200,6 +201,12 @@ class McArfimaSpec:
     ``truncation`` (moving-average cutoff: highest retained weight index) and
     ``burn_in`` may be left as None to be resolved against the generated
     length: ``burn_in = length`` and ``truncation = length + burn_in``.
+
+    ``generator`` is the version of the filtering arithmetic (see
+    :func:`_fft_convolve_tail`). New specs take the current version, 2.
+    Version 1 is kept so that records written before version 2 existed
+    rebuild their outputs bit for bit: :meth:`to_dict` leaves the key out
+    for version 1, and :meth:`from_dict` reads a missing key as 1.
     """
 
     alpha: float
@@ -215,8 +222,11 @@ class McArfimaSpec:
     dof: float | None = None
     truncation: int | None = None
     burn_in: int | None = None
+    generator: int = 2
 
     def __post_init__(self):
+        if type(self.generator) is not int or self.generator not in _GENERATORS:
+            raise InvalidParameter(f"generator must be 1 or 2, got {self.generator!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
             _require_number(name, v)
@@ -255,20 +265,26 @@ class McArfimaSpec:
         )
 
     def to_dict(self) -> dict:
-        """Every field by name, with ``sigma`` as nested lists of floats."""
+        """Every field by name, with ``sigma`` as nested lists of floats.
+
+        ``generator`` is left out when it is 1, so a version-1 spec has the
+        record it had before the field existed.
+        """
         record = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.generator == 1:
+            del record["generator"]
         return {**record, "sigma": self.sigma.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "McArfimaSpec":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a record without ``generator`` is version 1."""
         try:
             sigma = np.asarray(d["sigma"], dtype=float)
         except (TypeError, ValueError):
             raise InvalidParameter(
                 f"sigma must be a 4x4 array of numbers, got {d['sigma']!r}"
             ) from None
-        return cls(**{**d, "sigma": sigma})
+        return cls(**{"generator": 1, **d, "sigma": sigma})
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +300,34 @@ class BivariateSeries:
     seed: int
 
 
-def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int):
+def _smooth_length(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c`` that is at least ``n``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the fewest doublings that take p35 to n or beyond
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _transform_length(n_stream: int, n_weights: int, generator: int) -> int:
+    """FFT size of :func:`_fft_convolve_tail` under a generator version.
+
+    Version 1 takes the next power of two above the linear convolution,
+    ``n_stream + n_weights - 1``. Version 2 takes the smallest
+    ``2^a 3^b 5^c`` that holds the stream; it is never longer than the
+    version-1 size, and at the default cutoffs it is half of it.
+    """
+    if generator == 1:
+        return 1 << (n_stream + n_weights - 2).bit_length()
+    return _smooth_length(n_stream)
+
+
+def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int = 2):
     """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples,
     for each of ``streams`` in turn.
 
@@ -294,9 +337,17 @@ def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int):
     spectrum is taken once. Each result is a compact copy, and every
     transform-sized array is released before the next transform, so the
     peak memory stays that of one convolution.
+
+    A transform of size ``N`` returns the linear convolution wrapped modulo
+    ``N``. For ``W`` weights and a stream of length ``L >= W`` the kept
+    indices ``k`` lie in ``[W - 1, L)``, as ``n_keep <= L - W + 1``. With
+    ``N >= L`` their aliases ``k + N >= L + W - 1`` lie past the last index
+    of the linear convolution, ``L + W - 2``, so any ``N >= L`` gives the
+    exact tail with no circular wrap. Version 1 pads to the whole linear
+    length instead; the two versions differ only in rounding, by a few
+    units in the last place.
     """
-    n_full = streams[0].size + weights.size - 1
-    n_fft = 1 << (n_full - 1).bit_length()
+    n_fft = _transform_length(streams[0].size, weights.size, generator)
     spectrum = np.fft.rfft(weights, n_fft)
     start = weights.size - 1
     for k, stream in enumerate(streams, start=1):
@@ -335,7 +386,8 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     for d, active in by_d.items():
         weights = arfima_weights(d, spec.truncation + 1)
         streams = [innovations[i] for i in active]
-        for i, tail in zip(active, _fft_convolve_tail(streams, weights, n_keep)):
+        tails = _fft_convolve_tail(streams, weights, n_keep, spec.generator)
+        for i, tail in zip(active, tails):
             parts[i] = components[i][0] * tail[spec.burn_in :]
     return parts[0] + parts[1], parts[2] + parts[3]
 

@@ -369,8 +369,30 @@ _ANALYZE_FN = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each recorded analysis parameter must be. The parser gives a fresh
+# run these types; a replay reads them from a record that may not hold them.
+_ANALYSIS_TYPES = {
+    "min_rows": ("an integer", _is_int),
+    "order": ("an integer", _is_int),
+    "bandwidth": ("an integer", _is_int),
+    "n_freqs": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "tolerance": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "scales": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "scale_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def _exec_analyze(params: dict, inputs: dict, jobs: int) -> tuple:
     """An input digest already in ``inputs`` (a replay) must still match."""
+    for name, (kind, holds) in _ANALYSIS_TYPES.items():
+        if name in params and not holds(params[name]):
+            raise InvalidParameter(
+                f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
+            )
     sub = params["analysis"]
     in_path = params["input"]
     digest = sha256_file(in_path)
@@ -442,6 +464,8 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
             length=params["length"],
             replications=params["replications"],
             master_seed=params["master_seed"],
+            # a record from before generator 2 has no version
+            generator=params.get("generator", 1),
         )
         params["configs"] = [c.echo() for c in configs]
     else:
@@ -490,6 +514,8 @@ def _cmd_mc(args) -> int:
             length=config_int(cfg, "mc.length", 8192),
             replications=config_int(cfg, "mc.replications", 100),
             master_seed=master if master is not None else 1202,
+            # the class attribute is the field's default: the current version
+            generator=McArfimaSpec.generator,
         )
     else:
         for key in ("mc.lengths", "mc.replications", "mc.estimators"):

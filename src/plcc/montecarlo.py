@@ -469,7 +469,7 @@ def _sigma(off_diagonal: dict | None = None) -> np.ndarray:
 
 
 def standard_regimes(
-    length: int = 8192, replications: int = 100, master_seed: int = 1202
+    length: int = 8192, replications: int = 100, master_seed: int = 1202, generator: int = 2
 ) -> list[ExperimentConfig]:
     """Five canonical pair configurations spanning the coherency regimes.
 
@@ -481,9 +481,10 @@ def standard_regimes(
     no cross-correlation at all, so the cross fit is expected to fail the
     sign-stability gate and show up as unmeasured. "heavy-tail": a correlated
     pair under Student-t(3) innovations. "short-memory": correlated white
-    noise.
+    noise. Every spec uses the given generator version.
     """
     _require_int("length", length)
+    spec = functools.partial(McArfimaSpec, generator=generator)
     common = dict(
         lengths=(length,), replications=replications,
         estimators=("dfa", "dcca"), master_seed=master_seed,
@@ -491,26 +492,26 @@ def standard_regimes(
     full = _sigma({(i, j): 0.5 for i in range(1, 5) for j in range(i + 1, 5)})
     regimes = [
         ExperimentConfig(
-            spec=McArfimaSpec(1, 1, 1, 1, 0.3, 0.1, 0.4, 0.2, full),
+            spec=spec(1, 1, 1, 1, 0.3, 0.1, 0.4, 0.2, full),
             label="standard", **common,
         ),
         ExperimentConfig(
-            spec=McArfimaSpec(1, 1, 1, 1, 0.1, 0.4, 0.1, 0.4, _sigma({(1, 3): 0.9})),
+            spec=spec(1, 1, 1, 1, 0.1, 0.4, 0.1, 0.4, _sigma({(1, 3): 0.9})),
             label="anti-cointegration", scale_max=length // 64, **common,
         ),
         ExperimentConfig(
-            spec=McArfimaSpec(1, 0, 1, 0, 0.4, 0.0, 0.2, 0.0, _sigma()),
+            spec=spec(1, 0, 1, 0, 0.4, 0.0, 0.2, 0.0, _sigma()),
             label="independent", **common,
         ),
         ExperimentConfig(
-            spec=McArfimaSpec(
+            spec=spec(
                 1, 0, 1, 0, 0.4, 0.0, 0.4, 0.0, _sigma({(1, 3): 0.5}),
                 innovation_dist="student-t", dof=3.0,
             ),
             label="heavy-tail", **common,
         ),
         ExperimentConfig(
-            spec=McArfimaSpec(1, 1, 1, 1, 0.0, 0.0, 0.0, 0.0, full),
+            spec=spec(1, 1, 1, 1, 0.0, 0.0, 0.0, 0.0, full),
             label="short-memory", **common,
         ),
     ]

@@ -8,7 +8,8 @@ Imports ``plcc`` from the directory ``SRC`` (the ``src`` of a checkout) and
 runs a fixed command set through ``plcc.cli.main`` inside ``OUT``, which must
 not exist yet, with ``PLCC_SEED`` unset:
 
-- ``generate`` for three pairs and one single series;
+- ``generate`` for four pairs and one single series, one of the pairs at a
+  length that is not a power of two with explicit truncation and burn-in;
 - ``dfa`` twice on the single series;
 - the six pair analyses (``dcca``, ``rho``, ``beta``, ``coherency``,
   ``hrho``, ``report``), with default and with non-default flags, on each
@@ -21,6 +22,11 @@ each command with its exit code and its stdout and stderr texts, the sorted
 ``<sha256>  <path>`` list of every file under ``OUT``, and last the SHA-256
 of everything printed before it. Two source trees whose outputs agree byte
 for byte print the same last line.
+
+A change of the generator version (``McArfimaSpec.generator``) moves the
+digest by design, because fresh runs use the new version. Records written
+under an older version are gated by ``tests/data/v1/``, whose manifests the
+test suite replays and compares byte for byte.
 """
 
 from __future__ import annotations
@@ -42,6 +48,13 @@ CONFIGS = {
     "pair_c.cfg": (
         "length = 1024\nseed = 12\nspec.d1 = 0.4\nspec.d3 = 0.2\nsigma.13 = 0.3\n"
         "spec.dist = student-t\nspec.dof = 3\n"
+    ),
+    # a stream of 1111 + 300 + 1000 samples, filtered at a transform length
+    # of 2 3^5 5 = 2430; a truncation below the length would add a warning
+    # that names the source path to the text
+    "pair_d.cfg": (
+        "length = 1000\nseed = 31\nspec.d1 = 0.35\nspec.d3 = 0.15\nsigma.13 = 0.4\n"
+        "spec.truncation = 1111\nspec.burn_in = 300\n"
     ),
     "single.cfg": "length = 2048\nseed = 5\noutput = x\nspec.d1 = 0.25\n",
     "mc_all.cfg": (
@@ -75,6 +88,7 @@ def commands() -> list[list[str]]:
         ["generate", "pair_a.cfg", "--out", "a.csv"],
         ["generate", "pair_b.cfg", "--out", "b.csv", "--seed", "7"],
         ["generate", "pair_c.cfg", "--out", "c.csv"],
+        ["generate", "pair_d.cfg", "--out", "d.csv"],
         ["generate", "single.cfg", "--out", "x.csv"],
         ["dfa", "x.csv"],
         ["dfa", "x.csv", "--out", "x.dfa2.json", "--scales", "16:300:12", "--order", "2"],
