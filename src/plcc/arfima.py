@@ -34,7 +34,6 @@ __all__ = [
 GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 _DISTRIBUTIONS = (GAUSSIAN, STUDENT_T)
-_GENERATORS = (1, 2)
 
 
 # =========================================================================
@@ -222,10 +221,11 @@ class McArfimaSpec:
     dof: float | None = None
     truncation: int | None = None
     burn_in: int | None = None
+    # the current version; other modules read it as McArfimaSpec.generator
     generator: int = 2
 
     def __post_init__(self):
-        if type(self.generator) is not int or self.generator not in _GENERATORS:
+        if type(self.generator) is not int or self.generator not in (1, 2):
             raise InvalidParameter(f"generator must be 1 or 2, got {self.generator!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
@@ -320,14 +320,15 @@ def _transform_length(n_stream: int, n_weights: int, generator: int) -> int:
     Version 1 takes the next power of two above the linear convolution,
     ``n_stream + n_weights - 1``. Version 2 takes the smallest
     ``2^a 3^b 5^c`` that holds the stream; it is never longer than the
-    version-1 size, and at the default cutoffs it is half of it.
+    version-1 size, and half of it at the default cutoffs and a
+    power-of-two length.
     """
     if generator == 1:
         return 1 << (n_stream + n_weights - 2).bit_length()
     return _smooth_length(n_stream)
 
 
-def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int = 2):
+def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int):
     """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples,
     for each of ``streams`` in turn.
 
@@ -425,7 +426,8 @@ def generate_arfima(
     Returned as a read-only array. Uses the same stream derivation,
     truncation and burn-in conventions as :func:`generate_mc_arfima`, so it
     reproduces the ``x`` side of a pair whose spec degenerates to one active
-    component with unit weight and identity covariance.
+    component with unit weight and identity covariance. It filters with the
+    current generator version, the one a new spec takes.
     """
     _validate_dist(dist, dof)
     if not -0.5 < d < 0.5:
@@ -433,6 +435,6 @@ def generate_arfima(
     n, base, trunc, burn = _resolve_run(length, seed, truncation, burn_in)
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
     weights = arfima_weights(d, trunc + 1)
-    (tail,) = _fft_convolve_tail([stream], weights, burn + n)
+    (tail,) = _fft_convolve_tail([stream], weights, burn + n, McArfimaSpec.generator)
     # a compact copy: a view would keep the burn-in alive
     return _read_only(tail[burn:].copy())

@@ -375,7 +375,10 @@ def _is_int(value) -> bool:
 
 # What each recorded analysis parameter must be. The parser gives a fresh
 # run these types; a replay reads them from a record that may not hold them.
+# An integer path would be opened as a file descriptor.
 _ANALYSIS_TYPES = {
+    "input": ("a string", lambda v: isinstance(v, str)),
+    "out": ("a string", lambda v: isinstance(v, str)),
     "min_rows": ("an integer", _is_int),
     "order": ("an integer", _is_int),
     "bandwidth": ("an integer", _is_int),
@@ -514,7 +517,6 @@ def _cmd_mc(args) -> int:
             length=config_int(cfg, "mc.length", 8192),
             replications=config_int(cfg, "mc.replications", 100),
             master_seed=master if master is not None else 1202,
-            # the class attribute is the field's default: the current version
             generator=McArfimaSpec.generator,
         )
     else:

@@ -469,7 +469,10 @@ def _sigma(off_diagonal: dict | None = None) -> np.ndarray:
 
 
 def standard_regimes(
-    length: int = 8192, replications: int = 100, master_seed: int = 1202, generator: int = 2
+    length: int = 8192,
+    replications: int = 100,
+    master_seed: int = 1202,
+    generator: int = McArfimaSpec.generator,
 ) -> list[ExperimentConfig]:
     """Five canonical pair configurations spanning the coherency regimes.
 

@@ -1,15 +1,20 @@
 """Fractional-integration weights, innovation streams and pair generation."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import (
     GAUSSIAN,
     STUDENT_T,
     McArfimaSpec,
+    _fft_convolve_tail,
+    _transform_length,
     arfima_weights,
     correlated_innovations,
     filter_mc_arfima,
@@ -199,6 +204,35 @@ def test_spec_from_dict_inverts_to_dict(dist, dof, resolved):
     assert (back.truncation, back.burn_in) == (spec.truncation, spec.burn_in)
 
 
+@pytest.mark.parametrize("generator", [1, 2])
+def test_spec_record_keeps_the_generator_version(generator):
+    spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4), generator=generator)
+    record = json.loads(json.dumps(spec.to_dict()))
+    # version 1 has the record it had before the field existed
+    assert ("generator" in record) == (generator != 1)
+    back = McArfimaSpec.from_dict(record)
+    assert back.generator == generator
+    assert back.to_dict() == spec.to_dict()
+
+
+def test_new_specs_take_the_current_generator():
+    spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4))
+    assert spec.generator == 2
+    assert spec.resolved(256).generator == 2
+    record = spec.to_dict()
+    del record["generator"]
+    assert McArfimaSpec.from_dict(record).generator == 1
+
+
+@pytest.mark.parametrize("bad", ["2", True, 0, 3, 2.0, None])
+def test_spec_refuses_an_unknown_generator(bad):
+    with pytest.raises(InvalidParameter, match="generator must be 1 or 2"):
+        McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4), generator=bad)
+    record = {**McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4)).to_dict(), "generator": bad}
+    with pytest.raises(InvalidParameter, match="generator must be 1 or 2"):
+        McArfimaSpec.from_dict(record)
+
+
 # =========================================================================
 # generation
 # =========================================================================
@@ -218,6 +252,51 @@ def test_fft_filter_matches_direct_convolution():
     w = arfima_weights(d, trunc + 1)
     direct = np.convolve(stream, w)[trunc : trunc + burn + t][burn:]
     assert np.allclose(out, direct, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(64, 3000),
+    d=st.floats(-0.49, 0.49),
+    truncation=st.one_of(st.none(), st.integers(1, 6000)),
+    burn_in=st.one_of(st.none(), st.integers(0, 3000)),
+    seed=st.integers(0, 2**32),
+)
+@example(length=8193, d=0.4, truncation=None, burn_in=0, seed=1)
+@example(length=64, d=-0.3, truncation=1, burn_in=0, seed=2)
+def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed):
+    # version 2 transforms at a smooth length >= the stream, never longer
+    # than version 1's power of two above the linear convolution; the kept
+    # tail agrees with version 1, and at small sizes both agree with the
+    # direct convolution
+    spec = McArfimaSpec(1, 0, 1, 0, d, 0, 0, 0, np.eye(4), truncation=truncation, burn_in=burn_in)
+    spec = spec.resolved(length)
+    trunc, n_keep = spec.truncation, spec.burn_in + length
+    stream = np.random.default_rng(seed).standard_normal(trunc + n_keep)
+    weights = arfima_weights(d, trunc + 1)
+    n1, n2 = (_transform_length(stream.size, weights.size, g) for g in (1, 2))
+    assert stream.size <= n2 <= n1
+    (v1,) = _fft_convolve_tail([stream], weights, n_keep, 1)
+    (v2,) = _fft_convolve_tail([stream], weights, n_keep, 2)
+    assert v1.shape == v2.shape == (n_keep,)
+    # relative to the tail's scale: single samples may sit near zero
+    np.testing.assert_allclose(v2, v1, rtol=1e-12, atol=1e-12 * np.abs(v1).max())
+    if stream.size * weights.size <= 2_000_000:
+        direct = np.convolve(stream, weights)[trunc : trunc + n_keep]
+        assert np.allclose(v1, direct, rtol=1e-10, atol=1e-12)
+        assert np.allclose(v2, direct, rtol=1e-10, atol=1e-12)
+
+
+def test_generator_version_is_applied_by_the_filter():
+    # the two versions round differently, so the recorded version decides
+    # which bits a spec reproduces
+    spec = McArfimaSpec(1, 0.5, 1, 0, 0.3, 0.1, 0.2, 0, _sigma({(1, 3): 0.5}))
+    v1 = generate_mc_arfima(dataclasses.replace(spec, generator=1), 512, 77)
+    v2 = generate_mc_arfima(spec, 512, 77)
+    assert v1.spec_echo.generator == 1 and v2.spec_echo.generator == 2
+    assert not np.array_equal(v1.x, v2.x)
+    np.testing.assert_allclose(v2.x, v1.x, rtol=1e-12, atol=1e-12 * np.abs(v1.x).max())
+    np.testing.assert_allclose(v2.y, v1.y, rtol=1e-12, atol=1e-12 * np.abs(v1.y).max())
 
 
 def test_filter_takes_one_weight_spectrum_per_distinct_d(monkeypatch):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -404,6 +406,9 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("pair.csv", ["spec"], {"d1": "0.3"}, "d1 must be a number, got '0.3'"),
         (mc, ["config_echo"], {"replications": "3"}, "replications must be an integer, got '3'"),
         (suite, [], {"replications": "2"}, "replications must be an integer, got '2'"),
+        ("pair.csv", ["spec"], {"generator": "2"}, "generator must be 1 or 2, got '2'"),
+        (mc, ["config_echo", "spec"], {"generator": 3}, "generator must be 1 or 2, got 3"),
+        (suite, [], {"generator": True}, "generator must be 1 or 2, got True"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]
@@ -425,6 +430,76 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         assert main(["replay", "bad.json"]) == 2
         assert f"plcc: error: bad.json: {message}\n" == capsys.readouterr().err
         assert every_file() == before
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("min_rows", "256", "an integer"),
+        ("tolerance", "0.1", "a number"),
+        ("scale_grid", ["a"], "a list of integers"),
+        ("order", 1.5, "an integer"),
+        ("bandwidth", True, "an integer"),
+        ("n_freqs", "20", "an integer or null"),
+        ("scales", 16, "a string or null"),
+        ("input", 0, "a string"),
+        ("out", 7, "a string"),
+    ],
+)
+def test_replay_refuses_analysis_parameters_of_the_wrong_type(
+    tmp_path, capsys, monkeypatch, key, value, kind
+):
+    # the parser gives a fresh run these types; a record may hold any JSON
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    assert main(["report", "pair.csv", "--out", "r.json"]) == 0
+    doc = json.load(open("r.json.manifest.json"))
+    assert key in doc["parameters"]
+    doc["parameters"][key] = value
+    _write(tmp_path / "bad.json", json.dumps(doc))
+    before = _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+    capsys.readouterr()
+    assert main(["replay", "bad.json"]) == 2
+    expected = f"manifest parameter '{key}' must be {kind}, got {value!r}"
+    assert capsys.readouterr().err == f"plcc: error: bad.json: {expected}\n"
+    assert _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file())) == before
+
+
+V1_RECORDS = pathlib.Path(__file__).parent / "data" / "v1"
+
+
+def test_generator_v1_records_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # Outputs, sidecars and configs written before generator version 2
+    # existed: two generate runs, a single-experiment mc and a suite mc. No
+    # record names a generator, so each replays through version 1 and must
+    # rewrite every file with the bytes it had.
+    shutil.copytree(V1_RECORDS, tmp_path / "v1")
+    monkeypatch.chdir(tmp_path / "v1")
+    files = sorted(p for p in pathlib.Path().rglob("*") if p.is_file())
+    before = _contents(files)
+    manifests = [p for p in files if p.name.endswith(".manifest.json")]
+    assert len(manifests) == 10
+    assert "generator" not in json.load(open("pair.csv.manifest.json"))["parameters"]["spec"]
+    for manifest in manifests:
+        assert main(["replay", str(manifest)]) == 0, manifest
+    assert "replay ok" in capsys.readouterr().out
+    assert sorted(p for p in pathlib.Path().rglob("*") if p.is_file()) == files
+    assert _contents(files) == before
+
+
+def test_fresh_runs_record_the_current_generator(tmp_path):
+    cfg = _write(tmp_path / "g.cfg", GEN_CFG)
+    series = str(tmp_path / "pair.csv")
+    assert main(["generate", cfg, "--out", series]) == 0
+    assert json.load(open(f"{series}.manifest.json"))["parameters"]["spec"]["generator"] == 2
+    suite = _write(tmp_path / "suite.cfg", "mc.suite = standard-regimes\nmc.length = 1024\n"
+                   "mc.replications = 2\n")
+    out_dir = tmp_path / "suite"
+    assert main(["mc", suite, "--out-dir", str(out_dir)]) == 0
+    params = json.load(open(out_dir / "summary.json.manifest.json"))["parameters"]
+    assert params["generator"] == 2
+    assert {c["spec"]["generator"] for c in params["configs"]} == {2}
 
 
 def test_replay_detects_changed_input(tmp_path, capsys):

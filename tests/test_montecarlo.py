@@ -348,3 +348,11 @@ def test_standard_regimes_roster():
     assert anti.scale_max == 2048 // 64
     heavy = regimes[3]
     assert heavy.spec.innovation_dist == "student-t"
+
+
+def test_standard_regimes_use_the_given_generator():
+    assert {c.spec.generator for c in standard_regimes(length=1024, replications=2)} == {2}
+    old = standard_regimes(length=1024, replications=2, generator=1)
+    assert {c.spec.generator for c in old} == {1}
+    with pytest.raises(InvalidParameter, match="generator must be 1 or 2"):
+        standard_regimes(length=1024, replications=2, generator=3)
