@@ -92,6 +92,11 @@ def _validate_dist(dist: str, dof) -> None:
             raise InvalidParameter("Student-t innovations need dof > 2 for a finite variance")
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _require_number(name: str, value) -> None:
     """Refuse a value that is not a real number, such as a string or a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -225,7 +230,7 @@ class McArfimaSpec:
     generator: int = 2
 
     def __post_init__(self):
-        if type(self.generator) is not int or self.generator not in (1, 2):
+        if not is_integer(self.generator) or self.generator not in (1, 2):
             raise InvalidParameter(f"generator must be 1 or 2, got {self.generator!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
@@ -300,32 +305,17 @@ class BivariateSeries:
     seed: int
 
 
-def _smooth_length(n: int) -> int:
-    """The smallest ``2^a 3^b 5^c`` that is at least ``n``."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the fewest doublings that take p35 to n or beyond
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _transform_length(n_stream: int, n_weights: int, generator: int) -> int:
     """FFT size of :func:`_fft_convolve_tail` under a generator version.
 
     Version 1 takes the next power of two above the linear convolution,
-    ``n_stream + n_weights - 1``. Version 2 takes the smallest
-    ``2^a 3^b 5^c`` that holds the stream; it is never longer than the
-    version-1 size, and half of it at the default cutoffs and a
-    power-of-two length.
+    ``n_stream + n_weights - 1``. Version 2 takes the next power of two at
+    or above the stream; it is never longer than the version-1 size, and
+    half of it at the default cutoffs.
     """
     if generator == 1:
         return 1 << (n_stream + n_weights - 2).bit_length()
-    return _smooth_length(n_stream)
+    return 1 << (n_stream - 1).bit_length()
 
 
 def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int):

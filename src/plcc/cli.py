@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arfima import McArfimaSpec, generate_mc_arfima
+from .arfima import McArfimaSpec, generate_mc_arfima, is_integer
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import (
     EstimationFailed,
@@ -369,23 +369,19 @@ _ANALYZE_FN = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What each recorded analysis parameter must be. The parser gives a fresh
 # run these types; a replay reads them from a record that may not hold them.
 # An integer path would be opened as a file descriptor.
 _ANALYSIS_TYPES = {
     "input": ("a string", lambda v: isinstance(v, str)),
     "out": ("a string", lambda v: isinstance(v, str)),
-    "min_rows": ("an integer", _is_int),
-    "order": ("an integer", _is_int),
-    "bandwidth": ("an integer", _is_int),
-    "n_freqs": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "tolerance": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "min_rows": ("an integer", is_integer),
+    "order": ("an integer", is_integer),
+    "bandwidth": ("an integer", is_integer),
+    "n_freqs": ("an integer or null", lambda v: v is None or is_integer(v)),
+    "tolerance": ("a number", lambda v: is_integer(v) or isinstance(v, float)),
     "scales": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "scale_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "scale_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_integer, v))),
 }
 
 

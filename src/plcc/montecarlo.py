@@ -10,14 +10,13 @@ than aborting the experiment.
 from __future__ import annotations
 
 import functools
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .arfima import McArfimaSpec, generate_mc_arfima
+from .arfima import McArfimaSpec, generate_mc_arfima, is_integer
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import EstimationFailed, InvalidInput, InvalidParameter, PlccError
 from .powerlaw import h_rho_frequency, rho_decay
@@ -97,7 +96,7 @@ def split_seed(master_seed: int, index: int) -> int:
 
 def _require_int(name: str, value) -> None:
     """Refuse a value that is not an integer, such as a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 

@@ -265,7 +265,7 @@ def test_fft_filter_matches_direct_convolution():
 @example(length=8193, d=0.4, truncation=None, burn_in=0, seed=1)
 @example(length=64, d=-0.3, truncation=1, burn_in=0, seed=2)
 def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed):
-    # version 2 transforms at a smooth length >= the stream, never longer
+    # version 2 transforms at a power of two >= the stream, never longer
     # than version 1's power of two above the linear convolution; the kept
     # tail agrees with version 1, and at small sizes both agree with the
     # direct convolution

@@ -49,12 +49,12 @@ CONFIGS = {
         "length = 1024\nseed = 12\nspec.d1 = 0.4\nspec.d3 = 0.2\nsigma.13 = 0.3\n"
         "spec.dist = student-t\nspec.dof = 3\n"
     ),
-    # a stream of 1111 + 300 + 1000 samples, filtered at a transform length
-    # of 2 3^5 5 = 2430; a truncation below the length would add a warning
-    # that names the source path to the text
+    # a stream of 1500 + 300 + 1000 samples, filtered at a transform length
+    # of 4096 (version 1: 8192); a truncation below the length would add a
+    # warning that names the source path to the text
     "pair_d.cfg": (
         "length = 1000\nseed = 31\nspec.d1 = 0.35\nspec.d3 = 0.15\nsigma.13 = 0.4\n"
-        "spec.truncation = 1111\nspec.burn_in = 300\n"
+        "spec.truncation = 1500\nspec.burn_in = 300\n"
     ),
     "single.cfg": "length = 2048\nseed = 5\noutput = x\nspec.d1 = 0.25\n",
     "mc_all.cfg": (
