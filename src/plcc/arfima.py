@@ -11,6 +11,7 @@ series and of their cross-correlation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -256,9 +257,27 @@ class McArfimaSpec:
             raise InvalidParameter("burn_in must be non-negative")
 
     def resolved(self, length: int) -> "McArfimaSpec":
-        """Concrete copy with truncation and burn-in defaults filled in."""
+        """Concrete copy with truncation and burn-in defaults filled in.
+
+        The copy memoizes the weight spectra :func:`filter_mc_arfima` takes
+        from it, so replications that share one resolved spec transform
+        each weight sequence once.
+        """
         trunc, burn = _cutoffs(length, self.truncation, self.burn_in)
         return dataclasses.replace(self, truncation=trunc, burn_in=burn)
+
+    @functools.cached_property
+    def _spectra(self) -> dict:
+        """Weight spectra by ``(d, n_weights, n_fft)``. Not a field, so no
+        record holds it and no ``dataclasses.replace`` copy shares it."""
+        return {}
+
+    def _spectrum(self, d: float, n_weights: int, n_fft: int) -> np.ndarray:
+        key = (d, n_weights, n_fft)
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = self._spectra[key] = _weight_spectrum(*key)
+        return spectrum
 
     def component_weights(self) -> tuple[tuple[float, float], ...]:
         """((weight, d), ...) for the four components in stream order."""
@@ -318,16 +337,26 @@ def _transform_length(n_stream: int, n_weights: int, generator: int) -> int:
     return 1 << (n_stream - 1).bit_length()
 
 
-def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int):
+def _weight_spectrum(d: float, n_weights: int, n_fft: int) -> np.ndarray:
+    """Read-only ``n_fft``-point ``rfft`` of the first ``n_weights`` weights of ``d``."""
+    spectrum = np.fft.rfft(arfima_weights(d, n_weights), n_fft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _fft_convolve_tail(streams, spectrum: np.ndarray, n_weights: int, n_keep: int):
     """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples,
     for each of ``streams`` in turn.
 
-    Equivalent to ``np.convolve(stream, weights)[len(weights)-1:][:n_keep]``
-    but FFT-based; direct convolution is quadratic and unusable at the
-    default truncation lengths. The streams share one length, so the weight
-    spectrum is taken once. Each result is a compact copy, and every
-    transform-sized array is released before the next transform, so the
-    peak memory stays that of one convolution.
+    ``spectrum`` is the ``rfft`` of the ``n_weights`` weights at the
+    transform size :func:`_transform_length` gives (see
+    :func:`_weight_spectrum`). Equivalent to
+    ``np.convolve(stream, weights)[n_weights-1:][:n_keep]`` but FFT-based;
+    direct convolution is quadratic and unusable at the default truncation
+    lengths. The streams share one length, so they share the spectrum, which
+    the caller keeps. Each result is a compact copy, and the stream's
+    transform-sized arrays are released before the next transform, so the
+    peak memory is that of one convolution plus the caller's spectra.
 
     A transform of size ``N`` returns the linear convolution wrapped modulo
     ``N``. For ``W`` weights and a stream of length ``L >= W`` the kept
@@ -338,14 +367,12 @@ def _fft_convolve_tail(streams, weights: np.ndarray, n_keep: int, generator: int
     length instead; the two versions differ only in rounding, by a few
     units in the last place.
     """
-    n_fft = _transform_length(streams[0].size, weights.size, generator)
-    spectrum = np.fft.rfft(weights, n_fft)
-    start = weights.size - 1
-    for k, stream in enumerate(streams, start=1):
+    # every transform size is a power of two, so even
+    n_fft = 2 * (spectrum.size - 1)
+    start = n_weights - 1
+    for stream in streams:
         prod = np.fft.rfft(stream, n_fft)
         prod *= spectrum
-        if k == len(streams):
-            del spectrum
         full = np.fft.irfft(prod, n_fft)
         del prod
         yield full[start : start + n_keep].copy()
@@ -358,7 +385,9 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     ``innovations`` must have shape (4, truncation + burn_in + length). This
     is the deterministic core of :func:`generate_mc_arfima`, exposed so the
     filtering can be checked independently of the stream generation (for
-    example under a consistent swap of the two sides).
+    example under a consistent swap of the two sides). The weight spectra
+    come from the spec's memo, so a second call on the same spec object
+    transforms only the streams.
     """
     if spec.truncation is None or spec.burn_in is None:
         raise InvalidParameter("spec must be resolved before filtering")
@@ -373,11 +402,13 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     for i, (weight, d) in enumerate(components):
         if weight != 0.0:
             by_d.setdefault(d, []).append(i)
+    n_weights = spec.truncation + 1
+    n_fft = _transform_length(needed, n_weights, spec.generator)
     parts = [np.zeros(length)] * 4
     for d, active in by_d.items():
-        weights = arfima_weights(d, spec.truncation + 1)
+        spectrum = spec._spectrum(d, n_weights, n_fft)
         streams = [innovations[i] for i in active]
-        tails = _fft_convolve_tail(streams, weights, n_keep, spec.generator)
+        tails = _fft_convolve_tail(streams, spectrum, n_weights, n_keep)
         for i, tail in zip(active, tails):
             parts[i] = components[i][0] * tail[spec.burn_in :]
     return parts[0] + parts[1], parts[2] + parts[3]
@@ -396,9 +427,15 @@ def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> BivariateSeries
     :class:`TruncationWarning` since long-lag correlations are then biased.
     """
     n, base, trunc, burn = _resolve_run(length, seed, spec.truncation, spec.burn_in)
-    rspec = dataclasses.replace(spec, truncation=trunc, burn_in=burn)
+    # a spec whose cutoffs are ints already is resolved: it is used as it
+    # is, memo included; otherwise a resolved copy serves this one call
+    fresh = not (type(spec.truncation) is int and type(spec.burn_in) is int)
+    rspec = dataclasses.replace(spec, truncation=trunc, burn_in=burn) if fresh else spec
     eps = correlated_innovations(rspec.sigma, rspec.innovation_dist, trunc + burn + n, base, rspec.dof)
     x, y = filter_mc_arfima(rspec, eps, n)
+    if fresh:
+        # the echo would otherwise keep the copy's spectra alive with the pair
+        vars(rspec).pop("_spectra", None)
     return BivariateSeries(x=_read_only(x), y=_read_only(y), spec_echo=rspec, seed=base)
 
 
@@ -424,7 +461,8 @@ def generate_arfima(
         raise InvalidParameter(f"d = {d}: memory parameter must lie in (-0.5, 0.5)")
     n, base, trunc, burn = _resolve_run(length, seed, truncation, burn_in)
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
-    weights = arfima_weights(d, trunc + 1)
-    (tail,) = _fft_convolve_tail([stream], weights, burn + n, McArfimaSpec.generator)
+    n_fft = _transform_length(stream.size, trunc + 1, McArfimaSpec.generator)
+    spectrum = _weight_spectrum(d, trunc + 1, n_fft)
+    (tail,) = _fft_convolve_tail([stream], spectrum, trunc + 1, burn + n)
     # a compact copy: a view would keep the burn-in alive
     return _read_only(tail[burn:].copy())

@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -68,6 +69,11 @@ EXIT_ESTIMATION = 4
 
 def _fail(message: str) -> None:
     print(f"plcc: error: {message}", file=sys.stderr)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one ``plcc: warning:`` line, free of source locations."""
+    print(f"plcc: warning: {message}", file=sys.stderr)
 
 
 # =========================================================================
@@ -369,12 +375,15 @@ _ANALYZE_FN = {
 }
 
 
-# What each recorded analysis parameter must be. The parser gives a fresh
-# run these types; a replay reads them from a record that may not hold them.
-# An integer path would be opened as a file descriptor.
-_ANALYSIS_TYPES = {
+# What each recorded top-level parameter of any subcommand must be. The
+# parser gives a fresh run these types; a replay reads them from a record
+# that may not hold them. An integer path would be opened as a file
+# descriptor.
+_PARAMETER_TYPES = {
     "input": ("a string", lambda v: isinstance(v, str)),
     "out": ("a string", lambda v: isinstance(v, str)),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "output": ("'pair' or 'x'", lambda v: isinstance(v, str) and v in ("pair", "x")),
     "min_rows": ("an integer", is_integer),
     "order": ("an integer", is_integer),
     "bandwidth": ("an integer", is_integer),
@@ -387,11 +396,6 @@ _ANALYSIS_TYPES = {
 
 def _exec_analyze(params: dict, inputs: dict, jobs: int) -> tuple:
     """An input digest already in ``inputs`` (a replay) must still match."""
-    for name, (kind, holds) in _ANALYSIS_TYPES.items():
-        if name in params and not holds(params[name]):
-            raise InvalidParameter(
-                f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
-            )
     sub = params["analysis"]
     in_path = params["input"]
     digest = sha256_file(in_path)
@@ -575,6 +579,11 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run.
     """
+    for name, (kind, holds) in _PARAMETER_TYPES.items():
+        if name in params and not holds(params[name]):
+            raise InvalidParameter(
+                f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
+            )
     code, seeds, written, docs = _EXEC[sub](params, inputs, jobs)
     manifest = build_manifest(sub, params, inputs, seeds)
     for path, doc in docs.items():
@@ -707,17 +716,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except EstimationFailed as exc:
-        _fail(f"estimation failed: {exc}")
-        return EXIT_ESTIMATION
-    except OSError as exc:
-        _fail(str(exc))
-        return EXIT_IO
-    except PlccError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.handler(args)
+        except EstimationFailed as exc:
+            _fail(f"estimation failed: {exc}")
+            return EXIT_ESTIMATION
+        except OSError as exc:
+            _fail(str(exc))
+            return EXIT_IO
+        except PlccError as exc:
+            _fail(str(exc))
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
@@ -326,9 +327,10 @@ def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict
     return values, failures
 
 
-def _replicate(cfg: ExperimentConfig, length: int, index: int) -> dict:
+def _replicate(cfg: ExperimentConfig, spec: McArfimaSpec, length: int, index: int) -> dict:
+    """One replication from ``spec``, ``cfg.spec`` resolved at ``length``."""
     seed = split_seed(cfg.master_seed, index)
-    pair = generate_mc_arfima(cfg.spec, length, seed)
+    pair = generate_mc_arfima(spec, length, seed)
     values, failures = _evaluate_pair(pair.x, pair.y, cfg, length)
     return {"values": values, "failures": failures}
 
@@ -363,13 +365,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         raise InvalidParameter("jobs must be at least 1")
     targets = theoretical_exponents(cfg.spec)
     reps = cfg.replications
-    tasks = [(length, r) for length in cfg.lengths for r in range(reps)]
-    if jobs == 1:
-        outcomes = [_replicate(cfg, length, r) for length, r in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda t: _replicate(cfg, t[0], t[1]), tasks))
-    by_cell: dict = {(length, r): out for (length, r), out in zip(tasks, outcomes)}
+    by_cell: dict = {}
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for length in cfg.lengths:
+            # one resolved spec per length: its memo transforms each weight
+            # sequence once for all replications, and is dropped with it
+            replicate = functools.partial(_replicate, cfg, cfg.spec.resolved(length), length)
+            outcomes = (pool.map if pool else map)(replicate, range(reps))
+            by_cell.update(((length, r), out) for r, out in enumerate(outcomes))
 
     cells = []
     for measurement in cfg.measurements:

@@ -276,8 +276,8 @@ def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed
     weights = arfima_weights(d, trunc + 1)
     n1, n2 = (_transform_length(stream.size, weights.size, g) for g in (1, 2))
     assert stream.size <= n2 <= n1
-    (v1,) = _fft_convolve_tail([stream], weights, n_keep, 1)
-    (v2,) = _fft_convolve_tail([stream], weights, n_keep, 2)
+    (v1,) = _fft_convolve_tail([stream], np.fft.rfft(weights, n1), weights.size, n_keep)
+    (v2,) = _fft_convolve_tail([stream], np.fft.rfft(weights, n2), weights.size, n_keep)
     assert v1.shape == v2.shape == (n_keep,)
     # relative to the tail's scale: single samples may sit near zero
     np.testing.assert_allclose(v2, v1, rtol=1e-12, atol=1e-12 * np.abs(v1).max())
@@ -307,15 +307,74 @@ def test_filter_takes_one_weight_spectrum_per_distinct_d(monkeypatch):
                         truncation=100, burn_in=16)
     t = 64
     eps = np.random.default_rng(5).standard_normal((4, 100 + 16 + t))
+    w = arfima_weights(0.3, 101)
     real_rfft = np.fft.rfft
     calls = []
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or real_rfft(*a, **k))
     x, y = filter_mc_arfima(spec, eps, t)
     assert len(calls) == 4
-    w = arfima_weights(0.3, 101)
     tail = [np.convolve(e, w)[100 : 100 + 16 + t][16:] for e in eps]
     assert np.allclose(x, tail[0] + 0.5 * tail[1], rtol=1e-10, atol=1e-12)
     assert np.allclose(y, 2 * tail[2], rtol=1e-10, atol=1e-12)
+    # the same spec object again: its memo holds the spectrum, so only the
+    # three live streams are transformed and no weights are built
+    weight_calls = []
+    monkeypatch.setattr(
+        "plcc.arfima.arfima_weights", lambda *a: weight_calls.append(a) or w
+    )
+    calls.clear()
+    x2, y2 = filter_mc_arfima(spec, eps, t)
+    assert len(calls) == 3 and weight_calls == []
+    assert np.array_equal(x2, x) and np.array_equal(y2, y)
+
+
+@pytest.mark.filterwarnings("ignore::plcc.errors.TruncationWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    generator=st.sampled_from([1, 2]),
+    weights=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4, max_size=4),
+    ds=st.one_of(
+        st.floats(-0.45, 0.45).map(lambda d: [d] * 4),
+        st.lists(st.floats(-0.45, 0.45), min_size=4, max_size=4),
+    ),
+    cutoffs=st.one_of(
+        st.just((None, None)), st.tuples(st.integers(64, 700), st.integers(0, 300))
+    ),
+    length=st.integers(64, 400),
+    seed=st.integers(0, 2**32),
+)
+def test_memoized_spectra_leave_the_pair_unchanged(generator, weights, ds, cutoffs, length, seed):
+    # a repeated call on one resolved spec object reads its spectra from the
+    # memo; a fresh equal spec, an unresolved one and the bare filter on
+    # freshly drawn streams compute them anew, and all give the same bits
+    truncation, burn_in = cutoffs
+    sigma = _sigma({(1, 3): 0.5, (2, 4): 0.3})
+
+    def make():
+        return McArfimaSpec(*weights, *ds, sigma, truncation=truncation,
+                            burn_in=burn_in, generator=generator)
+
+    spec = make()
+    rspec = spec.resolved(length)
+    first = generate_mc_arfima(rspec, length, seed)
+    pairs = [
+        first,
+        generate_mc_arfima(rspec, length, seed),
+        generate_mc_arfima(make().resolved(length), length, seed),
+        generate_mc_arfima(spec, length, seed),
+    ]
+    eps = correlated_innovations(
+        sigma, GAUSSIAN, rspec.truncation + rspec.burn_in + length, seed
+    )
+    x, y = filter_mc_arfima(spec.resolved(length), eps, length)
+    assert first.spec_echo is rspec
+    for pair in pairs:
+        assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+    # the memo keys on the transform size too, so the same spec object at
+    # another length transforms anew
+    again = generate_mc_arfima(rspec, length + 200, seed)
+    fresh = generate_mc_arfima(make().resolved(length), length + 200, seed)
+    assert np.array_equal(again.x, fresh.x) and np.array_equal(again.y, fresh.y)
 
 
 def test_generate_mc_arfima_x_side_matches_univariate():

@@ -95,6 +95,23 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert open(out_flag, "rb").read() != open(out_ref, "rb").read()
 
 
+def test_truncation_warning_is_one_location_free_line(tmp_path, capsys, monkeypatch):
+    # the warning names neither the install location nor a source line, so
+    # the same command prints the same stderr from any checkout
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", "length = 1000\nseed = 1\nspec.d1 = 0.3\nspec.truncation = 777\n")
+    assert main(["generate", "g.cfg", "--out", "p.csv"]) == 0
+    assert capsys.readouterr().err == (
+        "plcc: warning: truncation 777 is below the series length 1000\n"
+    )
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG + "spec.truncation = 300\n")
+    assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and set(lines) == {
+        "plcc: warning: truncation 300 is below the series length 512"
+    }
+
+
 def test_generate_usage_errors(tmp_path, capsys, monkeypatch):
     missing_seed = _write(tmp_path / "a.cfg", "length = 512\n")
     assert main(["generate", missing_seed, "--out", str(tmp_path / "o.csv")]) == 2
@@ -409,6 +426,12 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("pair.csv", ["spec"], {"generator": "2"}, "generator must be 1 or 2, got '2'"),
         (mc, ["config_echo", "spec"], {"generator": 3}, "generator must be 1 or 2, got 3"),
         (suite, [], {"generator": True}, "generator must be 1 or 2, got True"),
+        # where a run writes: an integer would be opened as a file
+        # descriptor, and any output other than "x" used to mean a pair
+        ("pair.csv", [], {"out": 1}, "manifest parameter 'out' must be a string, got 1"),
+        ("pair.csv", [], {"output": "y"},
+         "manifest parameter 'output' must be 'pair' or 'x', got 'y'"),
+        (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string, got 7"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]
