@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,9 @@ __all__ = [
 GAUSSIAN = "gaussian"
 STUDENT_T = "student-t"
 _DISTRIBUTIONS = (GAUSSIAN, STUDENT_T)
+
+# guards the weight-spectrum memo of every McArfimaSpec
+_SPECTRA_LOCK = threading.Lock()
 
 
 # =========================================================================
@@ -274,9 +278,12 @@ class McArfimaSpec:
 
     def _spectrum(self, d: float, n_weights: int, n_fft: int) -> np.ndarray:
         key = (d, n_weights, n_fft)
-        spectrum = self._spectra.get(key)
-        if spectrum is None:
-            spectrum = self._spectra[key] = _weight_spectrum(*key)
+        # replications on worker threads share the spec: the first one
+        # transforms, the others wait for its result
+        with _SPECTRA_LOCK:
+            spectrum = self._spectra.get(key)
+            if spectrum is None:
+                spectrum = self._spectra[key] = _weight_spectrum(*key)
         return spectrum
 
     def component_weights(self) -> tuple[tuple[float, float], ...]:

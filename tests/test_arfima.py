@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -326,6 +329,42 @@ def test_filter_takes_one_weight_spectrum_per_distinct_d(monkeypatch):
     x2, y2 = filter_mc_arfima(spec, eps, t)
     assert len(calls) == 3 and weight_calls == []
     assert np.array_equal(x2, x) and np.array_equal(y2, y)
+
+
+def test_threads_sharing_a_spec_transform_each_weight_sequence_once(monkeypatch):
+    # more threads than cores filter through one resolved spec, as the
+    # replications of an experiment do; a weight build made slow widens
+    # any window between the memo lookup and its update
+    spec = McArfimaSpec(1, 1, 1, 1, 0.3, 0.1, 0.3, 0.1, np.eye(4)).resolved(256)
+    eps = np.random.default_rng(9).standard_normal((4, spec.truncation + spec.burn_in + 256))
+    reference = filter_mc_arfima(dataclasses.replace(spec), eps, 256)
+    real_weights = arfima_weights
+    built = []
+
+    def slow_weights(d, n_terms):
+        built.append(d)
+        time.sleep(0.01)
+        return real_weights(d, n_terms)
+
+    monkeypatch.setattr("plcc.arfima.arfima_weights", slow_weights)
+    results = [None] * 8
+    threads = [
+        threading.Thread(target=lambda k=k: results.__setitem__(k, filter_mc_arfima(spec, eps, 256)))
+        for k in range(len(results))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == [0.1, 0.3]
+    for x, y in results:
+        assert np.array_equal(x, reference[0]) and np.array_equal(y, reference[1])
 
 
 @pytest.mark.filterwarnings("ignore::plcc.errors.TruncationWarning")

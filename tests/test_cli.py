@@ -432,6 +432,7 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("pair.csv", [], {"output": "y"},
          "manifest parameter 'output' must be 'pair' or 'x', got 'y'"),
         (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string, got 7"),
+        (suite, [], {"tolerance": "0.1"}, "manifest parameter 'tolerance' must be a number, got '0.1'"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]
