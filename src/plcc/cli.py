@@ -383,7 +383,7 @@ _PARAMETER_TYPES = {
     "input": ("a string", lambda v: isinstance(v, str)),
     "out": ("a string", lambda v: isinstance(v, str)),
     "out_dir": ("a string", lambda v: isinstance(v, str)),
-    "output": ("'pair' or 'x'", lambda v: isinstance(v, str) and v in ("pair", "x")),
+    "output": ("'pair' or 'x'", lambda v: v in ("pair", "x")),
     "min_rows": ("an integer", is_integer),
     "order": ("an integer", is_integer),
     "bandwidth": ("an integer", is_integer),
