@@ -25,7 +25,6 @@ __all__ = [
     "GAUSSIAN",
     "STUDENT_T",
     "McArfimaSpec",
-    "BivariateSeries",
     "arfima_weights",
     "correlated_innovations",
     "filter_mc_arfima",
@@ -115,16 +114,22 @@ def _validate_seed(seed) -> int:
     return s
 
 
+def _integer_cutoffs(truncation, burn_in) -> tuple:
+    """``(truncation, burn_in)`` as ints, or None where None. A fractional
+    cutoff is refused, not rounded down, so a record keeps the value used."""
+    for name, value, least in (("truncation", truncation, 1), ("burn_in", burn_in, 0)):
+        if value is not None and not (is_integer(value) and value >= least):
+            raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+    return tuple(None if v is None else int(v) for v in (truncation, burn_in))
+
+
 def _cutoffs(length: int, truncation, burn_in) -> tuple[int, int]:
     """``(truncation, burn_in)`` with the defaults ``burn_in = length`` and
     ``truncation = length + burn_in``, which keep the full weight memory
     available for every retained sample."""
-    burn = int(burn_in) if burn_in is not None else int(length)
-    if burn < 0:
-        raise InvalidParameter("burn_in must be non-negative")
-    trunc = int(truncation) if truncation is not None else int(length) + burn
-    if trunc < 1:
-        raise InvalidParameter("truncation must be a positive integer")
+    trunc, burn = _integer_cutoffs(truncation, burn_in)
+    burn = int(length) if burn is None else burn
+    trunc = int(length) + burn if trunc is None else trunc
     return trunc, burn
 
 
@@ -208,7 +213,7 @@ class McArfimaSpec:
     feeding the four components, in that order.
 
     ``truncation`` (moving-average cutoff: highest retained weight index) and
-    ``burn_in`` may be left as None to be resolved against the generated
+    ``burn_in`` are integers, or None to be resolved against the generated
     length: ``burn_in = length`` and ``truncation = length + burn_in``.
 
     ``generator`` is the version of the filtering arithmetic (see
@@ -247,18 +252,16 @@ class McArfimaSpec:
             _require_number(name, v)
             if not -0.5 < v < 0.5:
                 raise InvalidParameter(f"{name} = {v}: memory parameters must lie in (-0.5, 0.5)")
-        for name in ("dof", "truncation", "burn_in"):
-            if getattr(self, name) is not None:
-                _require_number(name, getattr(self, name))
+        if self.dof is not None:
+            _require_number("dof", self.dof)
+        trunc, burn = _integer_cutoffs(self.truncation, self.burn_in)
+        object.__setattr__(self, "truncation", trunc)
+        object.__setattr__(self, "burn_in", burn)
         s = _validate_sigma(self.sigma)
         s = s.copy()
         s.flags.writeable = False
         object.__setattr__(self, "sigma", s)
         _validate_dist(self.innovation_dist, self.dof)
-        if self.truncation is not None and self.truncation < 1:
-            raise InvalidParameter("truncation must be a positive integer")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise InvalidParameter("burn_in must be non-negative")
 
     def resolved(self, length: int) -> "McArfimaSpec":
         """Concrete copy with truncation and burn-in defaults filled in.
@@ -316,19 +319,6 @@ class McArfimaSpec:
                 f"sigma must be a 4x4 array of numbers, got {d['sigma']!r}"
             ) from None
         return cls(**{"generator": 1, **d, "sigma": sigma})
-
-
-@dataclass(frozen=True, eq=False)
-class BivariateSeries:
-    """A generated pair along with the spec and seed that produced it.
-
-    ``x`` and ``y`` are read-only float arrays.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    spec_echo: McArfimaSpec
-    seed: int
 
 
 def _transform_length(n_stream: int, n_weights: int, generator: int) -> int:
@@ -426,24 +416,22 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> BivariateSeries:
-    """Generate a correlated long-memory pair of the given length.
+def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Generate a correlated long-memory pair ``(x, y)`` of the given length.
 
-    Deterministic: the same (spec, length, seed) always returns bit-identical
-    series. A truncation below ``length`` is accepted but flagged with a
-    :class:`TruncationWarning` since long-lag correlations are then biased.
+    Both series are read-only arrays. Deterministic: the same (spec, length,
+    seed) always returns bit-identical series. A truncation below ``length``
+    is accepted but flagged with a :class:`TruncationWarning` since long-lag
+    correlations are then biased.
     """
     n, base, trunc, burn = _resolve_run(length, seed, spec.truncation, spec.burn_in)
-    # a spec whose cutoffs are ints already is resolved: it is used as it
-    # is, memo included; otherwise a resolved copy serves this one call
-    fresh = not (type(spec.truncation) is int and type(spec.burn_in) is int)
-    rspec = dataclasses.replace(spec, truncation=trunc, burn_in=burn) if fresh else spec
-    eps = correlated_innovations(rspec.sigma, rspec.innovation_dist, trunc + burn + n, base, rspec.dof)
-    x, y = filter_mc_arfima(rspec, eps, n)
-    if fresh:
-        # the echo would otherwise keep the copy's spectra alive with the pair
-        vars(rspec).pop("_spectra", None)
-    return BivariateSeries(x=_read_only(x), y=_read_only(y), spec_echo=rspec, seed=base)
+    # a resolved spec is used as it is, memo included; otherwise a resolved
+    # copy serves this one call and its spectra go with it
+    if spec.truncation is None or spec.burn_in is None:
+        spec = spec.resolved(n)
+    eps = correlated_innovations(spec.sigma, spec.innovation_dist, trunc + burn + n, base, spec.dof)
+    x, y = filter_mc_arfima(spec, eps, n)
+    return _read_only(x), _read_only(y)
 
 
 def generate_arfima(

@@ -1,17 +1,19 @@
 """Command line front end: CSV ingestion, analysis subcommands, Monte Carlo.
 
-Exit codes are a stable contract: 0 success, 1 replayed outputs differ from
-the record, 2 usage/config/validation problems (a malformed manifest
-included), 3 I/O failures, 4 estimation failures (a partial result document
-is still written).
+Exit codes are a stable contract: 0 success, 1 an original or a replayed
+output differs from the record, 2 usage/config/validation problems (a
+malformed manifest included), 3 I/O failures, 4 estimation failures (a
+partial result document is still written).
 
 Every subcommand resolves its flags and config file into a parameter dict
 and a map of input digests, and hands both to one run path, ``_run``. It
 executes the subcommand, embeds the manifest (the parameters as the run
 resolved them, the input digests and the seeds) in every result document and
 writes one sidecar ``<output>.manifest.json`` per output, listing the digests
-of all outputs. ``replay`` sends the recorded parameters and inputs down the
-same path, then checks the rewritten outputs against the recorded digests.
+of all outputs. ``replay`` first checks every recorded output still on disk
+against its digest and stops if one was modified, so that it never
+overwrites one; it then sends the recorded parameters and inputs down the
+same path and checks the rewritten outputs against the recorded digests.
 
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
@@ -180,11 +182,10 @@ _GENERATE_KEYS = {"length", "seed", "output"}
 
 def _exec_generate(params: dict, inputs: dict, jobs: int) -> tuple:
     spec = McArfimaSpec.from_dict(_record_fields(McArfimaSpec, params["spec"], "spec"))
-    pair = generate_mc_arfima(spec, params["length"], params["seed"])
-    params["spec"] = pair.spec_echo.to_dict()
-    columns = [pair.x] if params["output"] == "x" else [pair.x, pair.y]
-    write_series_csv(params["out"], *columns)
-    return EXIT_OK, params["seed"], [params["out"]], {}
+    x, y = generate_mc_arfima(spec, params["length"], params["seed"])
+    params["spec"] = spec.resolved(params["length"]).to_dict()
+    columns = (x,) if params["output"] == "x" else (x, y)
+    return EXIT_OK, params["seed"], {params["out"]: columns}
 
 
 def _cmd_generate(args) -> int:
@@ -380,6 +381,8 @@ _ANALYZE_FN = {
 # that may not hold them. An integer path would be opened as a file
 # descriptor.
 _PARAMETER_TYPES = {
+    "length": ("an integer", is_integer),
+    "seed": ("an integer", is_integer),
     "input": ("a string", lambda v: isinstance(v, str)),
     "out": ("a string", lambda v: isinstance(v, str)),
     "out_dir": ("a string", lambda v: isinstance(v, str)),
@@ -420,7 +423,7 @@ def _exec_analyze(params: dict, inputs: dict, jobs: int) -> tuple:
     error = _ANALYZE_FN[sub](x, y, params, doc)
     if error is not None:
         doc["error"] = error
-    return (EXIT_OK if error is None else EXIT_ESTIMATION), None, [], {params["out"]: doc}
+    return (EXIT_OK if error is None else EXIT_ESTIMATION), None, {params["out"]: doc}
 
 
 def _cmd_analyze(args) -> int:
@@ -448,17 +451,6 @@ _MC_KEYS = {
 }
 
 
-def _sweep_summary_doc(sweep: dict) -> dict:
-    return {
-        "subcommand": "mc",
-        "tolerance": sweep["tolerance"],
-        "rows": sweep["rows"],
-        "max_gap": sweep["max_gap"],
-        "all_within_bound": sweep["all_within_bound"],
-        "unmeasured": [list(pair) for pair in sweep["unmeasured"]],
-    }
-
-
 def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
     out_dir = params["out_dir"]
     tolerance = params["tolerance"]
@@ -477,8 +469,8 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
         configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(spec)})]
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
         sweep = feasibility_sweep(configs, tolerance=tolerance, jobs=jobs)
-        results = sweep["results"]
-        summary = _sweep_summary_doc(sweep)
+        results = sweep.pop("results")
+        summary = {"subcommand": "mc", **sweep}
     else:
         # feasibility_sweep makes the same check on the branch above
         if not tolerance > 0:
@@ -496,7 +488,7 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
     docs = {os.path.join(out_dir, f"{res.label}.json"): res.to_dict() for res in results}
     docs[os.path.join(out_dir, "summary.json")] = summary
     seeds = sorted({c.master_seed for c in configs})
-    return EXIT_OK, seeds if len(seeds) > 1 else seeds[0], [], docs
+    return EXIT_OK, seeds if len(seeds) > 1 else seeds[0], docs
 
 
 def _cmd_mc(args) -> int:
@@ -569,12 +561,13 @@ def _cmd_mc(args) -> int:
 
 # Each executor takes ``(params, inputs, jobs)``, completes ``params`` and
 # ``inputs`` in place with what it resolved, and returns its exit code, its
-# seeds, the files it wrote and the result documents still to be written.
+# seeds and its outputs by path: a result document (a dict) or the columns
+# of a series CSV (a tuple). Only ``_run`` writes them.
 _EXEC = {"generate": _exec_generate, "mc": _exec_mc, **dict.fromkeys(_ANALYZE_FN, _exec_analyze)}
 
 
 def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
-    """Execute a subcommand and record it; returns the exit code and documents.
+    """Execute a subcommand and record it; returns the exit code and outputs.
 
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run.
@@ -584,16 +577,18 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
             raise InvalidParameter(
                 f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
             )
-    code, seeds, written, docs = _EXEC[sub](params, inputs, jobs)
+    code, seeds, outputs = _EXEC[sub](params, inputs, jobs)
     manifest = build_manifest(sub, params, inputs, seeds)
-    for path, doc in docs.items():
-        doc["manifest"] = manifest
-        write_json(path, doc)
-    outputs = [*written, *docs]
+    for path, output in outputs.items():
+        if isinstance(output, dict):
+            output["manifest"] = manifest
+            write_json(path, output)
+        else:
+            write_series_csv(path, *output)
     sidecar = {**manifest, "outputs": {p: sha256_file(p) for p in outputs}}
     for path in outputs:
         write_json(f"{path}.manifest.json", sidecar)
-    return code, docs
+    return code, outputs
 
 
 def _cmd_replay(args) -> int:
@@ -601,6 +596,16 @@ def _cmd_replay(args) -> int:
     sub = man["subcommand"]
     if sub not in _EXEC:
         raise InvalidParameter(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
+    recorded = man.get("outputs", {})
+    # the run rewrites the recorded outputs in place, so an original that no
+    # longer matches the record is reported and kept, not overwritten
+    modified = [
+        path for path, digest in sorted(recorded.items())
+        if os.path.exists(path) and sha256_file(path) != digest
+    ]
+    if modified:
+        _fail("original modified since the manifest was written: " + ", ".join(modified))
+        return 1
     # The recorded input digests ride along so the rewritten sidecars match
     # the original ones byte for byte; an analysis also refuses to replay
     # over an input file whose digest changed.
@@ -612,7 +617,6 @@ def _cmd_replay(args) -> int:
         # a fresh run refuses a bad parameter before it writes a manifest,
         # so in a replay (--jobs aside) the record holds it
         raise InvalidInput(f"{args.manifest}: {exc}") from None
-    recorded = man.get("outputs", {})
     mismatched = []
     for path, digest in sorted(recorded.items()):
         if sha256_file(path) != digest:

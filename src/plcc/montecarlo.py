@@ -10,7 +10,6 @@ than aborting the experiment.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
@@ -330,8 +329,8 @@ def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict
 def _replicate(cfg: ExperimentConfig, spec: McArfimaSpec, length: int, index: int) -> dict:
     """One replication from ``spec``, ``cfg.spec`` resolved at ``length``."""
     seed = split_seed(cfg.master_seed, index)
-    pair = generate_mc_arfima(spec, length, seed)
-    values, failures = _evaluate_pair(pair.x, pair.y, cfg, length)
+    x, y = generate_mc_arfima(spec, length, seed)
+    values, failures = _evaluate_pair(x, y, cfg, length)
     return {"values": values, "failures": failures}
 
 
@@ -366,12 +365,18 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     targets = theoretical_exponents(cfg.spec)
     reps = cfg.replications
     by_cell: dict = {}
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    pool = nullcontext()
+    if jobs > 1:
+        # imported here: generation and the analyses never need a pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=jobs)
+    with pool:
         for length in cfg.lengths:
             # one resolved spec per length: its memo transforms each weight
             # sequence once for all replications, and is dropped with it
             replicate = functools.partial(_replicate, cfg, cfg.spec.resolved(length), length)
-            outcomes = (pool.map if pool else map)(replicate, range(reps))
+            outcomes = (pool.map if jobs > 1 else map)(replicate, range(reps))
             by_cell.update(((length, r), out) for r, out in enumerate(outcomes))
 
     cells = []

@@ -64,8 +64,7 @@ def anti_run():
     cap_grid = DetrendConfig(default_scale_grid(t, max_scale=128))
     out = {"hx": [], "hy": [], "hxy": [], "time": [], "freq": [], "gap": [], "labels": []}
     for rep in range(100):
-        pair = generate_mc_arfima(spec, t, split_seed(303, rep))
-        x, y = pair.x, pair.y
+        x, y = generate_mc_arfima(spec, t, split_seed(303, rep))
         full = JointFluctuations(x, y, full_grid)
         hx = full.hurst_x().exponent
         hy = full.hurst_y().exponent

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ def test_spec_validation_messages():
         McArfimaSpec(1, 0, 1, 0, 0.1, 0, 0.2, 0, np.eye(4), burn_in=-1)
 
 
+@pytest.mark.parametrize(
+    "cutoffs", [{"truncation": 1500.7}, {"truncation": 1500.0}, {"burn_in": 300.2}, {"burn_in": True}]
+)
+def test_fractional_cutoffs_are_refused(cutoffs):
+    # rounding a cutoff down would generate with a value the record lacks
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4), **cutoffs)
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        generate_arfima(0.3, 1000, 1, **cutoffs)
+
+
+@pytest.mark.parametrize("truncation", [1500, np.int64(1500)])
+def test_integer_cutoffs_are_accepted(truncation):
+    spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4), truncation=truncation,
+                        burn_in=np.int64(300))
+    assert type(spec.truncation) is int and type(spec.burn_in) is int
+    assert spec.to_dict()["truncation"] == 1500
+    x, _ = generate_mc_arfima(spec, 1000, 31)
+    assert np.array_equal(x, generate_arfima(0.3, 1000, 31, truncation=truncation, burn_in=300))
+
+
 def test_spec_resolution_defaults():
     spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.3, 0, np.eye(4))
     r = spec.resolved(1000)
@@ -184,10 +206,10 @@ def test_spec_component_weights_order():
 def test_spec_to_dict_roundtrip():
     spec = McArfimaSpec(1, 0.5, 1, 0, 0.3, 0.1, 0.2, 0, _sigma({(1, 3): 0.4}))
     rebuilt = McArfimaSpec.from_dict(spec.to_dict())
-    pair_a = generate_mc_arfima(spec, 128, 5)
-    pair_b = generate_mc_arfima(rebuilt, 128, 5)
-    assert np.array_equal(pair_a.x, pair_b.x)
-    assert np.array_equal(pair_a.y, pair_b.y)
+    xa, ya = generate_mc_arfima(spec, 128, 5)
+    xb, yb = generate_mc_arfima(rebuilt, 128, 5)
+    assert np.array_equal(xa, xb)
+    assert np.array_equal(ya, yb)
 
 
 @pytest.mark.parametrize("resolved", [False, True])
@@ -294,12 +316,11 @@ def test_generator_version_is_applied_by_the_filter():
     # the two versions round differently, so the recorded version decides
     # which bits a spec reproduces
     spec = McArfimaSpec(1, 0.5, 1, 0, 0.3, 0.1, 0.2, 0, _sigma({(1, 3): 0.5}))
-    v1 = generate_mc_arfima(dataclasses.replace(spec, generator=1), 512, 77)
-    v2 = generate_mc_arfima(spec, 512, 77)
-    assert v1.spec_echo.generator == 1 and v2.spec_echo.generator == 2
-    assert not np.array_equal(v1.x, v2.x)
-    np.testing.assert_allclose(v2.x, v1.x, rtol=1e-12, atol=1e-12 * np.abs(v1.x).max())
-    np.testing.assert_allclose(v2.y, v1.y, rtol=1e-12, atol=1e-12 * np.abs(v1.y).max())
+    x1, y1 = generate_mc_arfima(dataclasses.replace(spec, generator=1), 512, 77)
+    x2, y2 = generate_mc_arfima(spec, 512, 77)
+    assert not np.array_equal(x1, x2)
+    np.testing.assert_allclose(x2, x1, rtol=1e-12, atol=1e-12 * np.abs(x1).max())
+    np.testing.assert_allclose(y2, y1, rtol=1e-12, atol=1e-12 * np.abs(y1).max())
 
 
 def test_filter_takes_one_weight_spectrum_per_distinct_d(monkeypatch):
@@ -406,28 +427,58 @@ def test_memoized_spectra_leave_the_pair_unchanged(generator, weights, ds, cutof
         sigma, GAUSSIAN, rspec.truncation + rspec.burn_in + length, seed
     )
     x, y = filter_mc_arfima(spec.resolved(length), eps, length)
-    assert first.spec_echo is rspec
-    for pair in pairs:
-        assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+    for px, py in pairs:
+        assert np.array_equal(px, x) and np.array_equal(py, y)
+    # only a spec that is resolved already keeps spectra in its memo
+    assert ("_spectra" in vars(spec)) == (truncation is not None and any(weights))
     # the memo keys on the transform size too, so the same spec object at
     # another length transforms anew
     again = generate_mc_arfima(rspec, length + 200, seed)
     fresh = generate_mc_arfima(make().resolved(length), length + 200, seed)
-    assert np.array_equal(again.x, fresh.x) and np.array_equal(again.y, fresh.y)
+    assert all(np.array_equal(a, b) for a, b in zip(again, fresh))
+
+
+def test_only_a_resolved_spec_keeps_its_spectra(monkeypatch):
+    # an unresolved spec is resolved for the one call, and the copy goes
+    # with its spectra when the call returns; a resolved spec keeps them in
+    # its memo for the next call
+    spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4))
+    real_resolved = McArfimaSpec.resolved
+    copies = []
+
+    def resolved(self, length):
+        copy = real_resolved(self, length)
+        copies.append(weakref.ref(copy))
+        return copy
+
+    monkeypatch.setattr(McArfimaSpec, "resolved", resolved)
+    x, y = generate_mc_arfima(spec, 256, 4)
+    assert len(copies) == 1 and copies[0]() is None
+    assert "_spectra" not in vars(spec)
+    rspec = spec.resolved(256)
+    first = generate_mc_arfima(rspec, 256, 4)
+    assert sorted(key[0] for key in rspec._spectra) == [0.1, 0.3]
+    built = []
+    monkeypatch.setattr("plcc.arfima._weight_spectrum", lambda *key: built.append(key))
+    again = generate_mc_arfima(rspec, 256, 4)
+    assert built == [] and len(copies) == 2
+    for series, *same in zip((x, y), first, again):
+        assert all(np.array_equal(series, other) for other in same)
 
 
 def test_generate_mc_arfima_x_side_matches_univariate():
     spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, np.eye(4))
-    pair = generate_mc_arfima(spec, 512, 2024)
+    x, _ = generate_mc_arfima(spec, 512, 2024)
     single = generate_arfima(0.3, 512, 2024)
-    assert np.array_equal(pair.x, single)
+    assert np.array_equal(x, single)
 
 
 def test_generated_series_are_read_only_compact_arrays():
     spec = McArfimaSpec(1, 0, 1, 0, 0.3, 0, 0.1, 0, _sigma({(1, 3): 0.5}))
     pair = generate_mc_arfima(spec, 128, 6)
     single = generate_arfima(0.3, 128, 6)
-    for series in (pair.x, pair.y, single):
+    assert type(pair) is tuple and len(pair) == 2
+    for series in (*pair, single):
         assert series.dtype == float and series.shape == (128,)
         # its own memory: no view that keeps the burn-in alive
         assert series.base is None and series.flags.c_contiguous
@@ -439,28 +490,30 @@ def test_zero_weight_component_is_inert():
     # with beta = 0 the value of d2 cannot matter
     a = McArfimaSpec(1, 0, 1, 0, 0.3, 0.0, 0.2, 0, np.eye(4))
     b = McArfimaSpec(1, 0, 1, 0, 0.3, 0.4, 0.2, 0, np.eye(4))
-    pa = generate_mc_arfima(a, 256, 8)
-    pb = generate_mc_arfima(b, 256, 8)
-    assert np.array_equal(pa.x, pb.x)
-    assert np.array_equal(pa.y, pb.y)
+    xa, ya = generate_mc_arfima(a, 256, 8)
+    xb, yb = generate_mc_arfima(b, 256, 8)
+    assert np.array_equal(xa, xb)
+    assert np.array_equal(ya, yb)
 
 
-def test_generate_pair_is_deterministic_and_echoes_spec():
+def test_generate_pair_is_deterministic_and_its_resolved_spec_reproduces_it():
     spec = McArfimaSpec(1, 1, 1, 1, 0.3, 0.1, 0.4, 0.2, _sigma({(1, 3): 0.5}))
-    p1 = generate_mc_arfima(spec, 300, 31)
-    p2 = generate_mc_arfima(spec, 300, 31)
-    assert np.array_equal(p1.x, p2.x)
-    assert np.array_equal(p1.y, p2.y)
-    assert p1.seed == 31
-    assert p1.spec_echo.truncation == 600
-    assert p1.spec_echo.burn_in == 300
-    assert len(p1.x) == 300
+    x1, y1 = generate_mc_arfima(spec, 300, 31)
+    x2, y2 = generate_mc_arfima(spec, 300, 31)
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(y1, y2)
+    assert len(x1) == 300
+    # the resolved spec is what a generate manifest records
+    rspec = spec.resolved(300)
+    assert (rspec.truncation, rspec.burn_in) == (600, 300)
+    xr, yr = generate_mc_arfima(rspec, 300, 31)
+    assert np.array_equal(xr, x1) and np.array_equal(yr, y1)
 
 
 def test_correlated_pair_has_positive_dependence():
     spec = McArfimaSpec(1, 0, 1, 0, 0.2, 0, 0.2, 0, _sigma({(1, 3): 0.9}))
-    pair = generate_mc_arfima(spec, 4096, 17)
-    lag0 = dict(sample_ccf(pair.x, pair.y, 1))[0]
+    x, y = generate_mc_arfima(spec, 4096, 17)
+    lag0 = dict(sample_ccf(x, y, 1))[0]
     assert lag0 > 0.5
 
 
@@ -516,8 +569,8 @@ def test_cross_partial_sums_track_dominant_exponent():
     grid = np.unique(np.geomspace(4, 16384 // 4, 20).astype(int))
     fits = []
     for rep in range(20):
-        pair = generate_mc_arfima(spec, 16384, split_seed(911, rep))
-        windows, curve = partial_sum_scaling(pair.x, pair.y, grid)
+        x, y = generate_mc_arfima(spec, 16384, split_seed(911, rep))
+        windows, curve = partial_sum_scaling(x, y, grid)
         # covariances can dip negative at small windows; fit the magnitude,
         # matching the package convention for cross curves
         pts = np.column_stack([windows, np.abs(curve)])

@@ -138,6 +138,13 @@ def test_missing_files_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_into_a_missing_directory_exits_3(tmp_path, capsys):
+    cfg = _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", cfg, "--out", str(tmp_path / "nowhere" / "p.csv")]) == 3
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["g.cfg"]
+
+
 # =========================================================================
 # analyses
 # =========================================================================
@@ -431,6 +438,12 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("pair.csv", [], {"out": 1}, "manifest parameter 'out' must be a string, got 1"),
         ("pair.csv", [], {"output": "y"},
          "manifest parameter 'output' must be 'pair' or 'x', got 'y'"),
+        # a float would be generated with and written back to the record
+        ("pair.csv", [], {"length": 1024.0},
+         "manifest parameter 'length' must be an integer, got 1024.0"),
+        ("pair.csv", [], {"seed": 3.0}, "manifest parameter 'seed' must be an integer, got 3.0"),
+        ("pair.csv", ["spec"], {"truncation": 2048.0},
+         "truncation must be an integer >= 1, got 2048.0"),
         (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string, got 7"),
         (suite, [], {"tolerance": "0.1"}, "manifest parameter 'tolerance' must be a number, got '0.1'"),
     ):
@@ -545,11 +558,53 @@ def test_replay_detects_tampered_record(tmp_path, capsys):
     assert main(["generate", cfg, "--out", series]) == 0
     sidecar_path = f"{series}.manifest.json"
     doc = json.load(open(sidecar_path))
+    recorded = doc["outputs"][series]
     doc["outputs"][series] = "0" * 64
     with open(sidecar_path, "w") as fh:
         json.dump(doc, fh)
+    before = _contents([series, sidecar_path])
+    capsys.readouterr()
     assert main(["replay", sidecar_path]) == 1
-    assert "replay outputs differ" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"plcc: error: original modified since the manifest was written: {series}\n"
+    )
+    assert _contents([series, sidecar_path]) == before
+    # with the output gone, a record whose seed was changed regenerates
+    # other bytes than it lists
+    os.remove(series)
+    doc["outputs"][series] = recorded
+    doc["parameters"]["seed"] += 1
+    with open(sidecar_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["replay", sidecar_path]) == 1
+    assert "replay outputs differ from the manifest record" in capsys.readouterr().err
+
+
+def test_replay_keeps_a_modified_original(tmp_path, capsys, monkeypatch):
+    # replay writes where the run wrote, so it first checks every recorded
+    # output that exists, and writes nothing when one no longer matches
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    assert main(["report", "pair.csv", "--out", "r.json"]) == 0
+    original = _contents(["r.json", "r.json.manifest.json"])
+    with open("r.json", "ab") as fh:
+        fh.write(b" ")
+
+    def every_file():
+        return _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+
+    before = every_file()
+    capsys.readouterr()
+    assert main(["replay", "r.json.manifest.json"]) == 1
+    assert capsys.readouterr().err == (
+        "plcc: error: original modified since the manifest was written: r.json\n"
+    )
+    assert every_file() == before
+    # a missing output is regenerated with the recorded bytes
+    os.remove("r.json")
+    assert main(["replay", "r.json.manifest.json"]) == 0
+    assert _contents(["r.json", "r.json.manifest.json"]) == original
 
 
 # =========================================================================

@@ -180,11 +180,11 @@ def test_correlated_pair_cross_exponent_near_average():
     spec = _pair_spec(0.4, 0.4, 0.5)
     hxs, hys, hxys = [], [], []
     for rep in range(100):
-        pair = generate_mc_arfima(spec, 16384, split_seed(1404, rep))
+        x, y = generate_mc_arfima(spec, 16384, split_seed(1404, rep))
         cfg = DetrendConfig(default_scale_grid(16384))
-        hxs.append(JointFluctuations(pair.x, None, cfg).hurst_x().exponent)
-        hys.append(JointFluctuations(pair.y, None, cfg).hurst_x().exponent)
-        hxys.append(JointFluctuations(pair.x, pair.y, cfg).hxy().exponent)
+        hxs.append(JointFluctuations(x, None, cfg).hurst_x().exponent)
+        hys.append(JointFluctuations(y, None, cfg).hurst_x().exponent)
+        hxys.append(JointFluctuations(x, y, cfg).hxy().exponent)
     assert 0.82 < np.mean(hxs) < 0.98
     assert 0.82 < np.mean(hys) < 0.98
     gap = np.mean(hxys) - (np.mean(hxs) + np.mean(hys)) / 2.0
@@ -202,8 +202,8 @@ def test_white_noise_pair_is_flagged():
         fit = JointFluctuations(g1, g2, cfg).hxy()
         wide_err.append(fit.stderr)
         flips.append(fit.diagnostics["sign_flips"])
-        pair = generate_mc_arfima(spec, 4096, split_seed(709, rep))
-        narrow_err.append(JointFluctuations(pair.x, pair.y, cfg).hxy().stderr)
+        x, y = generate_mc_arfima(spec, 4096, split_seed(709, rep))
+        narrow_err.append(JointFluctuations(x, y, cfg).hxy().stderr)
     assert np.median(flips) >= 3
     assert np.median(wide_err) > 0.04
     assert np.median(narrow_err) < 0.02

@@ -11,10 +11,16 @@ No module imports a name it never uses, unless it re-exports it.
 The package's public names are the union of the layer modules' ``__all__``
 lists. Each name appears once, and each module lists only names it defines,
 so no star import can shadow one module's name with another's.
+
+Importing the command line leaves the thread pool out: only a Monte Carlo
+run with more than one job needs it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import plcc
 
@@ -98,3 +104,10 @@ def test_public_names_are_unique_and_defined_where_listed():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     found = [hit for path in modules for hit in _foreign_exports(path)]
     assert not found, "names exported but not defined by the listing module:\n" + "\n".join(found)
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    code = "import sys, plcc.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -67,8 +67,8 @@ def test_frequency_channel_drops_zero_ordinates():
 
 
 def test_time_channel_runs_on_correlated_pair():
-    pair = generate_mc_arfima(_standard_spec(), 4096, split_seed(31, 0))
-    fit = rho_decay(JointFluctuations(pair.x, pair.y, DetrendConfig(default_scale_grid(4096))))
+    x, y = generate_mc_arfima(_standard_spec(), 4096, split_seed(31, 0))
+    fit = rho_decay(JointFluctuations(x, y, DetrendConfig(default_scale_grid(4096))))
     assert np.isfinite(fit.exponent)
     assert fit.stderr >= 0.0
 
@@ -123,8 +123,8 @@ def test_report_standard_process_classification():
     standard = 0
     freq_means, time_means, diff_means = [], [], []
     for rep in range(100):
-        pair = generate_mc_arfima(_standard_spec(), 4096, split_seed(202, rep))
-        rep_out = coherency_report(pair.x, pair.y)
+        x, y = generate_mc_arfima(_standard_spec(), 4096, split_seed(202, rep))
+        rep_out = coherency_report(x, y)
         if rep_out.regime == "standard":
             standard += 1
         if rep_out.h_rho_freq is not None:
@@ -205,8 +205,7 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     # standalone estimators bit for bit, fit diagnostics included
     spec = _standard_spec()
     cfg = DetrendConfig(default_scale_grid(length, order), order)
-    pair = generate_mc_arfima(spec, length, seed)
-    x, y = pair.x, pair.y
+    x, y = generate_mc_arfima(spec, length, seed)
     rep = coherency_report(x, y, CoherencySettings(detrend=cfg))
     assert _channel(rep, "h_x") == _outcome(lambda: JointFluctuations(x, None, cfg).hurst_x())
     assert _channel(rep, "h_y") == _outcome(lambda: JointFluctuations(y, None, cfg).hurst_x())
@@ -220,8 +219,7 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     )
     res = run_experiment(mc_cfg)
     for r in range(2):
-        pair = generate_mc_arfima(spec, length, split_seed(seed, r))
-        px, py = pair.x, pair.y
+        px, py = generate_mc_arfima(spec, length, split_seed(seed, r))
         library = {
             "dfa_hx": JointFluctuations(px, None, cfg).hurst_x().exponent,
             "dfa_hy": JointFluctuations(py, None, cfg).hurst_x().exponent,

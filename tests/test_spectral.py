@@ -307,8 +307,8 @@ def test_anticorrelated_memory_lowers_low_frequency_coherency():
     spec = McArfimaSpec(1, 1, 1, 1, 0.1, 0.4, 0.1, 0.4, sigma)
     hits = 0
     for rep in range(10):
-        pair = generate_mc_arfima(spec, 8192, split_seed(606, rep))
-        _, k2 = coherency(pair.x, pair.y, bandwidth=31)
+        x, y = generate_mc_arfima(spec, 8192, split_seed(606, rep))
+        _, k2 = coherency(x, y, bandwidth=31)
         usable = k2[15:-15]  # half-bandwidth edges are partially smoothed
         low = np.mean(usable[:10])
         mid = np.median(usable)
@@ -377,7 +377,7 @@ def test_log_cross_correlated_pair_band():
     sigma = np.eye(4)
     sigma[0, 2] = sigma[2, 0] = 0.5
     spec = McArfimaSpec(1, 0, 1, 0, 0.4, 0.0, 0.4, 0.0, sigma)
-    pair = generate_mc_arfima(spec, 8192, split_seed(1, 0))
-    fit = estimate_hxy_logcross(pair.x, pair.y)
+    x, y = generate_mc_arfima(spec, 8192, split_seed(1, 0))
+    fit = estimate_hxy_logcross(x, y)
     assert 0.80 < fit.exponent < 0.95
     assert fit.diagnostics["bandwidth"] == 11
