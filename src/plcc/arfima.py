@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_integer, require_int, require_number
 from .errors import InvalidParameter, TruncationWarning
 
 __all__ = [
@@ -53,11 +53,8 @@ def arfima_weights(d: float, n_terms: int) -> np.ndarray:
     weight beyond ``a_0`` vanishes; for ``d`` in (0, 0.5) the weights are
     positive and decay hyperbolically.
     """
-    if not -0.5 < d < 0.5:
-        raise InvalidParameter(f"d = {d}: memory parameter must lie in (-0.5, 0.5)")
-    n = int(n_terms)
-    if n != n_terms or n < 1:
-        raise InvalidParameter("n_terms must be a positive integer")
+    _check_memory("d", d)
+    n = require_int("n_terms", n_terms, 1)
     w = np.empty(n)
     w[0] = 1.0
     if n > 1:
@@ -91,45 +88,36 @@ def _validate_sigma(sigma) -> np.ndarray:
 def _validate_dist(dist: str, dof) -> None:
     if dist not in _DISTRIBUTIONS:
         raise InvalidParameter(f"innovation_dist must be one of {_DISTRIBUTIONS}, got {dist!r}")
+    if dof is not None:
+        require_number("dof", dof)
     if dist == STUDENT_T:
         if dof is None or not dof > 2:
             raise InvalidParameter("Student-t innovations need dof > 2 for a finite variance")
 
 
-def is_integer(value) -> bool:
-    """True for an integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_number(name: str, value) -> None:
-    """Refuse a value that is not a real number, such as a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameter(f"{name} must be a number, got {value!r}")
-
-
-def _validate_seed(seed) -> int:
-    s = int(seed)
-    if s != seed or s < 0:
-        raise InvalidParameter("seed must be a non-negative integer")
-    return s
+def _check_memory(name: str, d) -> None:
+    """Refuse a memory parameter that is not a number in (-0.5, 0.5)."""
+    require_number(name, d)
+    if not -0.5 < d < 0.5:
+        raise InvalidParameter(f"{name} = {d}: memory parameter must lie in (-0.5, 0.5)")
 
 
 def _integer_cutoffs(truncation, burn_in) -> tuple:
-    """``(truncation, burn_in)`` as ints, or None where None. A fractional
-    cutoff is refused, not rounded down, so a record keeps the value used."""
-    for name, value, least in (("truncation", truncation, 1), ("burn_in", burn_in, 0)):
-        if value is not None and not (is_integer(value) and value >= least):
-            raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
-    return tuple(None if v is None else int(v) for v in (truncation, burn_in))
+    """``(truncation, burn_in)`` as ints, or None where None."""
+    return (
+        None if truncation is None else require_int("truncation", truncation, 1),
+        None if burn_in is None else require_int("burn_in", burn_in, 0),
+    )
 
 
 def _cutoffs(length: int, truncation, burn_in) -> tuple[int, int]:
     """``(truncation, burn_in)`` with the defaults ``burn_in = length`` and
     ``truncation = length + burn_in``, which keep the full weight memory
     available for every retained sample."""
+    n = require_int("length", length, 1)
     trunc, burn = _integer_cutoffs(truncation, burn_in)
-    burn = int(length) if burn is None else burn
-    trunc = int(length) + burn if trunc is None else trunc
+    burn = n if burn is None else burn
+    trunc = n + burn if trunc is None else trunc
     return trunc, burn
 
 
@@ -139,10 +127,8 @@ def _resolve_run(length, seed, truncation, burn_in) -> tuple[int, int, int, int]
     A truncation below the length is accepted but flagged with a
     :class:`TruncationWarning`, since long-lag correlations are then biased.
     """
-    n = int(length)
-    if n != length or n < 64:
-        raise InvalidParameter("length must be an integer >= 64")
-    base = _validate_seed(seed)
+    n = require_int("length", length, 64)
+    base = require_int("seed", seed, 0)
     trunc, burn = _cutoffs(n, truncation, burn_in)
     if trunc < n:
         warnings.warn(
@@ -188,10 +174,8 @@ def correlated_innovations(sigma, dist: str, length: int, seed, dof=None) -> np.
     """
     s = _validate_sigma(sigma)
     _validate_dist(dist, dof)
-    base = _validate_seed(seed)
-    n = int(length)
-    if n != length or n < 1:
-        raise InvalidParameter("length must be a positive integer")
+    base = require_int("seed", seed, 0)
+    n = require_int("length", length, 1)
     raw = np.empty((4, n))
     for i in range(4):
         raw[i] = _unit_stream(np.random.default_rng(base + i), dist, dof, n)
@@ -243,17 +227,9 @@ class McArfimaSpec:
         if not is_integer(self.generator) or self.generator not in (1, 2):
             raise InvalidParameter(f"generator must be 1 or 2, got {self.generator!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
-            v = getattr(self, name)
-            _require_number(name, v)
-            if not np.isfinite(v):
-                raise InvalidParameter(f"{name} = {v}: weights must be finite")
+            require_number(name, getattr(self, name))
         for name in ("d1", "d2", "d3", "d4"):
-            v = getattr(self, name)
-            _require_number(name, v)
-            if not -0.5 < v < 0.5:
-                raise InvalidParameter(f"{name} = {v}: memory parameters must lie in (-0.5, 0.5)")
-        if self.dof is not None:
-            _require_number("dof", self.dof)
+            _check_memory(name, getattr(self, name))
         trunc, burn = _integer_cutoffs(self.truncation, self.burn_in)
         object.__setattr__(self, "truncation", trunc)
         object.__setattr__(self, "burn_in", burn)
@@ -452,8 +428,7 @@ def generate_arfima(
     current generator version, the one a new spec takes.
     """
     _validate_dist(dist, dof)
-    if not -0.5 < d < 0.5:
-        raise InvalidParameter(f"d = {d}: memory parameter must lie in (-0.5, 0.5)")
+    _check_memory("d", d)
     n, base, trunc, burn = _resolve_run(length, seed, truncation, burn_in)
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
     n_fft = _transform_length(stream.size, trunc + 1, McArfimaSpec.generator)

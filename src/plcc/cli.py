@@ -31,7 +31,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .arfima import McArfimaSpec, generate_mc_arfima, is_integer
+from .arfima import McArfimaSpec, generate_mc_arfima
+from .core import is_integer, require_positive
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import (
     EstimationFailed,
@@ -60,7 +61,7 @@ from .montecarlo import (
     run_experiment,
     standard_regimes,
 )
-from .powerlaw import CoherencySettings, coherency_report, h_rho_frequency, rho_decay
+from .powerlaw import coherency_report, h_rho_frequency, rho_decay
 from .spectral import coherency, default_n_freqs, resolve_n_freqs, validate_bandwidth
 
 EXIT_OK = 0
@@ -338,13 +339,9 @@ def _analyze_hrho(x, y, params, doc) -> str | None:
 def _analyze_report(x, y, params, doc) -> str | None:
     cfg = _resolve_grid(params, x.size)
     n = _resolve_n_freqs_param(params, x.size)
-    settings = CoherencySettings(
-        detrend=cfg,
-        n_freqs=n,
-        bandwidth=params["bandwidth"],
-        tolerance=params["tolerance"],
+    rep = coherency_report(
+        x, y, detrend=cfg, n_freqs=n, bandwidth=params["bandwidth"], tolerance=params["tolerance"]
     )
-    rep = coherency_report(x, y, settings)
     if "h_rho_time" not in rep.failures:
         doc["scales"] = [s for s, _ in rep.rho_curve]
         doc["values"] = [r for _, r in rep.rho_curve]
@@ -453,7 +450,7 @@ _MC_KEYS = {
 
 def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
     out_dir = params["out_dir"]
-    tolerance = params["tolerance"]
+    tolerance = require_positive("tolerance", params["tolerance"])
     if params["mode"] == "suite":
         configs = standard_regimes(
             length=params["length"],
@@ -472,9 +469,6 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
         results = sweep.pop("results")
         summary = {"subcommand": "mc", **sweep}
     else:
-        # feasibility_sweep makes the same check on the branch above
-        if not tolerance > 0:
-            raise InvalidParameter("tolerance must be positive")
         results = [run_experiment(c, jobs=jobs) for c in configs]
         summary = {
             "subcommand": "mc",

@@ -7,6 +7,7 @@ no random number generation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,47 @@ import numpy as np
 from .errors import InvalidInput, InvalidParameter, NonPositiveOrdinate
 
 __all__ = ["ScalingFit", "series_values", "profile", "fit_loglog"]
+
+
+# =========================================================================
+# Parameter rules
+# =========================================================================
+#
+# The one definition of an integer and of a number parameter. Every module
+# checks its parameters through these helpers; they are not package names.
+
+
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool: ``3`` and ``np.int64(3)``,
+    not ``3.0``, ``True`` or ``"3"``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, refused unless :func:`is_integer` holds and, with
+    ``least`` given, it is at least ``least``. A float with an integral
+    value is refused, not rounded, so a record keeps the value used."""
+    if not (is_integer(value) and (least is None or value >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def require_number(name: str, value):
+    """``value`` itself, refused unless it is a finite real number: a
+    string, a bool, inf and nan are all refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_positive(name: str, value):
+    """``value`` itself, refused unless it is a finite number above zero."""
+    if not require_number(name, value) > 0:
+        raise InvalidParameter(f"{name} must be positive")
+    return value
 
 
 def series_values(x) -> np.ndarray:

@@ -10,13 +10,12 @@ as ``s**(2H)``; with two series it is the covariance-like analogue.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, profile, series_values
+from .core import ScalingFit, fit_loglog, is_integer, profile, require_int, series_values
 from .errors import (
     DegenerateInput,
     EstimationFailed,
@@ -35,8 +34,7 @@ __all__ = [
 
 def _checked_order(poly_order) -> int:
     """The detrending order as an int; it must be a non-negative integer."""
-    number = isinstance(poly_order, numbers.Real) and not isinstance(poly_order, bool)
-    if not number or poly_order < 0 or poly_order % 1 != 0:
+    if not (is_integer(poly_order) and poly_order >= 0):
         raise InvalidParameter("poly_order must be a non-negative integer")
     return int(poly_order)
 
@@ -64,8 +62,7 @@ class DetrendConfig:
         order = _checked_order(self.poly_order)
         grid = np.asarray(self.scale_grid)
         if grid.size and not np.issubdtype(grid.dtype, np.integer):
-            if not np.all(grid == np.floor(grid)):
-                raise InvalidParameter("scales must be integers")
+            raise InvalidParameter("scales must be integers")
         grid = grid.astype(int)
         if grid.size < 5:
             raise InvalidParameter(f"need at least 5 scales, got {grid.size}")
@@ -96,15 +93,15 @@ def default_scale_grid(
     """
     lo = min_scale_for_order(_checked_order(poly_order))
     if min_scale is not None:
-        lo = max(lo, int(min_scale))
-    hi = int(length) // 5
+        lo = max(lo, require_int("min_scale", min_scale))
+    hi = require_int("length", length) // 5
     if max_scale is not None:
-        hi = min(hi, int(max_scale))
+        hi = min(hi, require_int("max_scale", max_scale))
     if hi < lo:
         raise SeriesTooShort(
             f"length {length} leaves no admissible scales for order {poly_order}"
         )
-    grid = np.unique(np.round(np.geomspace(lo, hi, int(n_scales))).astype(int))
+    grid = np.unique(np.round(np.geomspace(lo, hi, require_int("n_scales", n_scales))).astype(int))
     if grid.size < 5:
         raise SeriesTooShort(f"length {length} yields fewer than 5 distinct scales")
     return grid

@@ -320,8 +320,12 @@ def json_dumps(doc) -> str:
 
 
 def write_json(path, doc) -> None:
+    """Write ``doc`` as :func:`json_dumps` renders it. The text is rendered
+    before the file is opened, so a document that cannot be serialised
+    leaves an existing file as it was."""
+    text = json_dumps(doc)
     with open(path, "w", newline="\n") as fh:
-        fh.write(json_dumps(doc))
+        fh.write(text)
 
 
 # =========================================================================

@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .arfima import McArfimaSpec, generate_mc_arfima, is_integer
+from .arfima import McArfimaSpec, generate_mc_arfima
+from .core import require_int, require_positive
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import EstimationFailed, InvalidInput, InvalidParameter, PlccError
 from .powerlaw import h_rho_frequency, rho_decay
@@ -88,16 +89,11 @@ def split_seed(master_seed: int, index: int) -> int:
     Uses the seed-sequence spawn mechanism, so child streams neither collide
     nor overlap for distinct indices under one master seed.
     """
-    if master_seed < 0 or index < 0:
-        raise InvalidParameter("master_seed and index must be non-negative")
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
+    ss = np.random.SeedSequence(
+        entropy=require_int("master_seed", master_seed, 0),
+        spawn_key=(require_int("index", index, 0),),
+    )
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _require_int(name: str, value) -> None:
-    """Refuse a value that is not an integer, such as a string or a bool."""
-    if not is_integer(value):
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
 def theoretical_exponents(spec: McArfimaSpec) -> dict:
@@ -145,16 +141,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("replications", "master_seed", "n_scales"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         for name in ("n_freqs", "scale_min", "scale_max"):
             if getattr(self, name) is not None:
-                _require_int(name, getattr(self, name))
+                require_int(name, getattr(self, name))
         for name in ("lengths", "estimators"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)):
                 raise InvalidParameter(f"{name} must be a list or tuple, got {v!r}")
         for length in self.lengths:
-            _require_int("every length", length)
+            require_int("every length", length)
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 2:
@@ -172,12 +168,12 @@ class ExperimentConfig:
             raise InvalidParameter("master_seed must be non-negative")
         for name in ("scale_min", "scale_max"):
             v = getattr(self, name)
-            if v is not None and int(v) < 1:
+            if v is not None and v < 1:
                 raise InvalidParameter(f"{name} must be a positive integer")
         if (
             self.scale_min is not None
             and self.scale_max is not None
-            and int(self.scale_min) >= int(self.scale_max)
+            and self.scale_min >= self.scale_max
         ):
             raise InvalidParameter("scale_min must be smaller than scale_max")
         validate_bandwidth(self.bandwidth)
@@ -360,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     ``jobs`` only controls worker-thread count; the per-replication seeds and
     the aggregation order are fixed, so the result does not depend on it.
     """
-    if jobs < 1:
+    if require_int("jobs", jobs) < 1:
         raise InvalidParameter("jobs must be at least 1")
     targets = theoretical_exponents(cfg.spec)
     reps = cfg.replications
@@ -415,8 +411,7 @@ def feasibility_sweep(
     the measured rows only, since a pair without a readable cross power law
     has no exponent to bound.
     """
-    if not tolerance > 0:
-        raise InvalidParameter("tolerance must be positive")
+    require_positive("tolerance", tolerance)
     rows = []
     results = []
     for cfg in configs:
@@ -493,7 +488,7 @@ def standard_regimes(
     pair under Student-t(3) innovations. "short-memory": correlated white
     noise. Every spec uses the given generator version.
     """
-    _require_int("length", length)
+    require_int("length", length)
     spec = functools.partial(McArfimaSpec, generator=generator)
     common = dict(
         lengths=(length,), replications=replications,

@@ -17,16 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, series_values
+from .core import ScalingFit, fit_loglog, require_positive, series_values
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
-from .errors import EstimationFailed, InvalidParameter, PlccError
+from .errors import EstimationFailed, PlccError
 from .spectral import coherency, resolve_n_freqs, validate_bandwidth
 
 __all__ = [
     "REGIME_STANDARD",
     "REGIME_ANTI_COINTEGRATION",
     "REGIME_INFEASIBLE",
-    "CoherencySettings",
     "CoherencyReport",
     "h_rho_frequency",
     "rho_decay",
@@ -88,34 +87,13 @@ def classify(hx: float, hy: float, hxy: float, tol: float = 0.05) -> str:
     which no power-law pair can sustain and therefore marks an estimation
     artifact.
     """
-    if not tol > 0:
-        raise InvalidParameter("tol must be positive")
+    require_positive("tol", tol)
     average = (hx + hy) / 2.0
     if hxy > average + tol:
         return REGIME_INFEASIBLE
     if hxy < average - tol:
         return REGIME_ANTI_COINTEGRATION
     return REGIME_STANDARD
-
-
-@dataclass(frozen=True)
-class CoherencySettings:
-    """Estimation settings for :func:`coherency_report`.
-
-    Unset values resolve against the series length: the default scale grid
-    for the detrended channel and ``floor(sqrt(T))`` frequencies for the
-    spectral channel.
-    """
-
-    detrend: DetrendConfig | None = None
-    n_freqs: int | None = None
-    bandwidth: int = 11
-    tolerance: float = 0.05
-
-    def __post_init__(self):
-        validate_bandwidth(self.bandwidth)
-        if not self.tolerance > 0:
-            raise InvalidParameter("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,23 +115,33 @@ class CoherencyReport:
     h_rho_diff: float | None
     regime: str | None
     rho_at_max_scale: float | None
-    settings: CoherencySettings
     failures: dict = field(default_factory=dict)
     rho_curve: list[tuple[int, float]] | None = None
 
 
-def coherency_report(x, y, settings: CoherencySettings | None = None) -> CoherencyReport:
+def coherency_report(
+    x,
+    y,
+    *,
+    detrend: DetrendConfig | None = None,
+    n_freqs: int | None = None,
+    bandwidth: int = 11,
+    tolerance: float = 0.05,
+) -> CoherencyReport:
     """Estimate all three decay channels plus the regime for one pair.
 
-    Every detrended channel reads one :class:`JointFluctuations` pass. The
-    regime comes from :func:`classify` applied to the detrended exponents,
-    so it is only available when H_x, H_y and H_xy all estimate cleanly.
+    Unset settings resolve against the series length: ``detrend`` to the
+    default scale grid, ``n_freqs`` to ``floor(sqrt(T))`` frequencies. The
+    bandwidth and the classification ``tolerance`` are checked before any
+    pass. Every detrended channel reads one :class:`JointFluctuations`
+    pass. The regime comes from :func:`classify` applied to the detrended
+    exponents, so it is only available when H_x, H_y and H_xy all estimate
+    cleanly.
     """
+    bandwidth = validate_bandwidth(bandwidth)
+    require_positive("tolerance", tolerance)
     vx = series_values(x)
     vy = series_values(y)
-    if settings is None:
-        settings = CoherencySettings()
-    cfg = settings.detrend
     failures: dict = {}
 
     def attempt(name, fn, *args):
@@ -163,9 +151,9 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
             failures[name] = str(exc)
             return None
 
-    if cfg is None:
-        cfg = attempt("h_x", lambda: DetrendConfig(default_scale_grid(vx.size)))
-    jf = attempt("h_x", JointFluctuations, vx, vy, cfg) if cfg is not None else None
+    if detrend is None:
+        detrend = attempt("h_x", lambda: DetrendConfig(default_scale_grid(vx.size)))
+    jf = attempt("h_x", JointFluctuations, vx, vy, detrend) if detrend is not None else None
 
     def read(name, reader):
         # without a pass every detrended channel fails for the reason h_x did
@@ -177,9 +165,7 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
     h_x = read("h_x", JointFluctuations.hurst_x)
     h_y = read("h_y", JointFluctuations.hurst_y)
     h_xy = read("h_xy", JointFluctuations.hxy)
-    h_rho_freq = attempt(
-        "h_rho_freq", h_rho_frequency, vx, vy, settings.n_freqs, settings.bandwidth
-    )
+    h_rho_freq = attempt("h_rho_freq", h_rho_frequency, vx, vy, n_freqs, bandwidth)
     rho = read("h_rho_time", JointFluctuations.rho)
     rho_curve = h_rho_time_fit = None
     if rho is not None:
@@ -190,7 +176,7 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
     regime = None
     if h_x is not None and h_y is not None and h_xy is not None:
         h_rho_diff = h_xy.exponent - (h_x.exponent + h_y.exponent) / 2.0
-        regime = classify(h_x.exponent, h_y.exponent, h_xy.exponent, settings.tolerance)
+        regime = classify(h_x.exponent, h_y.exponent, h_xy.exponent, tolerance)
 
     return CoherencyReport(
         h_x=h_x,
@@ -201,7 +187,6 @@ def coherency_report(x, y, settings: CoherencySettings | None = None) -> Coheren
         h_rho_diff=h_rho_diff,
         regime=regime,
         rho_at_max_scale=None if rho_curve is None else rho_curve[-1][1],
-        settings=settings,
         failures=failures,
         rho_curve=rho_curve,
     )

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, series_values
+from .core import ScalingFit, fit_loglog, is_integer, series_values
 from .errors import (
     DegenerateInput,
     EstimationFailed,
@@ -109,10 +109,9 @@ def cross_periodogram(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def validate_bandwidth(bandwidth) -> int:
     """The smoothing bandwidth as an int; it must be odd and at least 3."""
-    b = int(bandwidth)
-    if b != bandwidth or b < 3 or b % 2 == 0:
+    if not (is_integer(bandwidth) and bandwidth >= 3 and bandwidth % 2 == 1):
         raise InvalidParameter(f"bandwidth must be an odd integer >= 3, got {bandwidth!r}")
-    return b
+    return int(bandwidth)
 
 
 def _flat_smooth(values: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -166,9 +165,9 @@ def default_n_freqs(length: int) -> int:
 
 def resolve_n_freqs(n_freqs, length: int) -> int:
     """Regression band size: ``n_freqs`` checked against [8, T/4], or the default."""
+    if n_freqs is not None and not is_integer(n_freqs):
+        raise InvalidInput(f"n_freqs must be an integer, got {n_freqs!r}")
     n = default_n_freqs(length) if n_freqs is None else int(n_freqs)
-    if n_freqs is not None and n != n_freqs:
-        raise InvalidInput("n_freqs must be an integer")
     if n < 8 or n > length // 4:
         raise InvalidInput(
             f"n_freqs must lie in [8, T/4] = [8, {length // 4}], got {n}"

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through ``main(argv)``."""
 
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -389,13 +390,14 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
            "mc.replications = 2\n")
     assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
     assert main(["dcca", "pair.csv", "--out", "fit.json"]) == 0
+    assert main(["report", "pair.csv", "--out", "r.json"]) in (0, 4)
     assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
     assert main(["mc", "suite.cfg", "--out-dir", "suite"]) == 0
     mc = os.path.join("runs", "smoke.json")
     suite = os.path.join("suite", "summary.json")
     real = {
         name: json.load(open(f"{name}.manifest.json"))
-        for name in ("pair.csv", "fit.json", mc, suite)
+        for name in ("pair.csv", "fit.json", "r.json", mc, suite)
     }
     cases = [
         ('{"tool": "plcc", "subcommand": "generate", "parameters": {}}',
@@ -446,6 +448,11 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
          "truncation must be an integer >= 1, got 2048.0"),
         (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string, got 7"),
         (suite, [], {"tolerance": "0.1"}, "manifest parameter 'tolerance' must be a number, got '0.1'"),
+        # JSON writes an infinite number as Infinity; rendering the rewritten
+        # record would fail after the outputs had been overwritten
+        ("r.json", [], {"tolerance": math.inf}, "tolerance must be finite, got inf"),
+        (suite, [], {"tolerance": math.inf}, "tolerance must be finite, got inf"),
+        ("pair.csv", ["spec"], {"dof": math.inf}, "dof must be finite, got inf"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]
@@ -698,6 +705,27 @@ def test_mc_config_errors(tmp_path, capsys):
         assert main(["mc", cfg, "--out-dir", str(out_dir), flag, value]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out_dir)
+
+
+def test_infinite_numbers_are_refused_before_anything_is_written(
+    tmp_path, pair_csv, capsys, monkeypatch
+):
+    # an infinite tolerance or dof used to reach the JSON writer, which
+    # cannot render it, after the outputs had been opened
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    _write(tmp_path / "h.cfg", GEN_CFG + "spec.dist = student-t\nspec.dof = inf\n")
+    runs = [
+        (["report", pair_csv, "--tol", "inf"], "tolerance must be finite, got inf"),
+        (["mc", "mc.cfg", "--out-dir", "runs", "--tol", "inf"], "tolerance must be finite, got inf"),
+        (["generate", "h.cfg", "--out", "h.csv"], "dof must be finite, got inf"),
+    ]
+    for argv, message in runs:
+        before = _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+        assert main(argv) == 2
+        assert f"plcc: error: {message}\n" == capsys.readouterr().err
+        assert _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file())) == before
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_mc_suite_replay_identical_across_jobs(tmp_path):

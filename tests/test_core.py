@@ -4,21 +4,31 @@ The cross-correlation and partial-sum oracles live in ``tests/oracles.py``;
 their checks stay here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from oracles import partial_sum_scaling, sample_ccf
-from plcc.arfima import generate_arfima
+from plcc.arfima import (
+    McArfimaSpec,
+    arfima_weights,
+    correlated_innovations,
+    generate_arfima,
+    generate_mc_arfima,
+)
 from plcc.core import ScalingFit, fit_loglog, profile, series_values
+from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import (
     DegenerateInput,
     InvalidInput,
     InvalidParameter,
     NonPositiveOrdinate,
 )
-from plcc.montecarlo import split_seed
+from plcc.montecarlo import ExperimentConfig, feasibility_sweep, run_experiment, split_seed
+from plcc.powerlaw import classify, coherency_report
+from plcc.spectral import coherency, estimate_h_logperiodogram
 
 
 # =========================================================================
@@ -252,3 +262,98 @@ def test_scalingfit_field_validation():
         ScalingFit(0.5, 0.0, -0.1, 0.9, (1.0, 2.0))
     with pytest.raises(InvalidParameter):
         ScalingFit(0.5, 0.0, 0.1, 1.5, (1.0, 2.0))
+
+
+# =========================================================================
+# parameter rules
+# =========================================================================
+
+_X = np.random.default_rng(3).standard_normal(256)
+_Y = np.random.default_rng(4).standard_normal(256)
+_GRID = [16, 20, 24, 28, 32]
+
+
+_SPEC_FIELDS = dict(alpha=1, beta=0, gamma=1, delta=0, d1=0.3, d2=0.0, d3=0.2, d4=0.0, sigma=np.eye(4))
+
+
+def _spec(**fields):
+    return McArfimaSpec(**{**_SPEC_FIELDS, **fields})
+
+
+_MC = ExperimentConfig(
+    spec=_spec(), lengths=(256,), replications=2, estimators=("logperiodogram",), master_seed=1
+)
+
+# (site, call taking the value, a value the site accepts, the refusal's type).
+# An integer is refused as a float with an integral value, a bool or a
+# string; a number is refused when infinite or nan.
+_PARAMETERS = [
+    ("arfima_weights n_terms", lambda v: arfima_weights(0.3, v), 3, InvalidParameter),
+    ("generate_arfima length", lambda v: generate_arfima(0.3, v, 1), 128, InvalidParameter),
+    ("generate_arfima seed", lambda v: generate_arfima(0.3, 128, v), 3, InvalidParameter),
+    ("generate_mc_arfima length", lambda v: generate_mc_arfima(_spec(), v, 1), 128, InvalidParameter),
+    ("generate_mc_arfima seed", lambda v: generate_mc_arfima(_spec(), 128, v), 3, InvalidParameter),
+    ("correlated_innovations length",
+     lambda v: correlated_innovations(np.eye(4), "gaussian", v, 1), 3, InvalidParameter),
+    ("correlated_innovations seed",
+     lambda v: correlated_innovations(np.eye(4), "gaussian", 3, v), 3, InvalidParameter),
+    ("spec truncation", lambda v: generate_mc_arfima(_spec(truncation=v), 128, 1), 200, InvalidParameter),
+    ("spec burn_in", lambda v: generate_mc_arfima(_spec(burn_in=v), 128, 1), 3, InvalidParameter),
+    ("bandwidth", lambda v: coherency(_X, _Y, v), 3, InvalidParameter),
+    ("n_freqs", lambda v: estimate_h_logperiodogram(_X, v), 8, InvalidInput),
+    ("DetrendConfig poly_order",
+     lambda v: JointFluctuations(_X, None, DetrendConfig(_GRID, v)).fxx, 2, InvalidParameter),
+    ("DetrendConfig scale",
+     lambda v: JointFluctuations(_X, None, DetrendConfig([v, *_GRID[1:]])).fxx, 16, InvalidParameter),
+    ("default_scale_grid length", lambda v: default_scale_grid(v), 1024, InvalidParameter),
+    ("default_scale_grid poly_order", lambda v: default_scale_grid(1024, v), 2, InvalidParameter),
+    ("default_scale_grid n_scales", lambda v: default_scale_grid(1024, 1, v), 12, InvalidParameter),
+    ("default_scale_grid min_scale", lambda v: default_scale_grid(1024, 1, 20, v), 16, InvalidParameter),
+    ("default_scale_grid max_scale",
+     lambda v: default_scale_grid(1024, 1, 20, None, v), 100, InvalidParameter),
+    ("split_seed master_seed", lambda v: split_seed(v, 0), 3, InvalidParameter),
+    ("split_seed index", lambda v: split_seed(0, v), 3, InvalidParameter),
+    ("run_experiment jobs", lambda v: run_experiment(_MC, jobs=v).to_dict(), 1, InvalidParameter),
+    ("spec dof", lambda v: generate_mc_arfima(_spec(innovation_dist="student-t", dof=v), 128, 1),
+     3.0, InvalidParameter),
+    ("generate_arfima dof", lambda v: generate_arfima(0.3, 128, 1, "student-t", v), 3.0, InvalidParameter),
+    *[
+        (f"spec {name}", lambda v, name=name: generate_mc_arfima(_spec(**{name: v}), 128, 1),
+         0.5, InvalidParameter)
+        for name in ("alpha", "beta", "gamma", "delta")
+    ],
+    ("generate_arfima d", lambda v: generate_arfima(v, 128, 1), 0.3, InvalidParameter),
+    ("classify tol", lambda v: classify(0.9, 0.9, 0.9, v), 0.05, InvalidParameter),
+    ("coherency_report tolerance", lambda v: coherency_report(_X, _Y, tolerance=v), 0.05, InvalidParameter),
+    ("feasibility_sweep tolerance", lambda v: feasibility_sweep([], v), 0.05, InvalidParameter),
+]
+
+
+def _bits(value):
+    """A form of ``value`` that compares equal only for bit-identical floats."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return sorted((k, _bits(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, float):
+        return float(value).hex()
+    return value
+
+
+@pytest.mark.parametrize(
+    "call,good,error", [row[1:] for row in _PARAMETERS], ids=[row[0] for row in _PARAMETERS]
+)
+def test_parameter_rules(call, good, error):
+    if isinstance(good, int):
+        refused, numpy_kind = (float(good), True, str(good)), np.int64
+    else:
+        refused, numpy_kind = (math.inf, -math.inf, math.nan), np.float64
+    for value in refused:
+        with pytest.raises(error):
+            call(value)
+    # a numpy scalar is the value it holds, bit for bit
+    assert _bits(call(numpy_kind(good))) == _bits(call(good))

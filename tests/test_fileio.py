@@ -348,6 +348,16 @@ def test_write_json_bytes_stable(tmp_path):
     assert b"\r" not in p1.read_bytes()
 
 
+def test_write_json_that_cannot_render_keeps_the_file(tmp_path):
+    # the text is rendered before the file is opened for writing
+    path = tmp_path / "r.json"
+    write_json(path, {"v": 1.5})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_json(path, {"v": float("nan")})
+    assert path.read_bytes() == before
+
+
 def test_fit_to_dict_fields():
     fit = fit_loglog([(4.0, 2.0), (8.0, 4.0), (16.0, 8.0)], divisor=2.0)
     doc = fit_to_dict(fit)

@@ -14,6 +14,10 @@ so no star import can shadow one module's name with another's.
 
 Importing the command line leaves the thread pool out: only a Monte Carlo
 run with more than one job needs it.
+
+What an integer or a number parameter is, is decided in ``core`` alone: no
+other module imports ``numbers``, and no module tests a value by comparing
+``int(v)`` with ``v``, a test that accepts ``3.0`` and ``True``.
 """
 
 import ast
@@ -104,6 +108,53 @@ def test_public_names_are_unique_and_defined_where_listed():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     found = [hit for path in modules for hit in _foreign_exports(path)]
     assert not found, "names exported but not defined by the listing module:\n" + "\n".join(found)
+
+
+def _int_comparisons(path: pathlib.Path) -> list[str]:
+    """Comparisons of ``int(v)``, or of a name assigned from it, with ``v``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def int_args(node) -> set[str]:
+        return {
+            ast.dump(call.args[0])
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "int" and len(call.args) == 1
+        }
+
+    assigned: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, set()).update(int_args(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for a in operands:
+            sources = int_args(a) if isinstance(a, ast.Call) else set()
+            if isinstance(a, ast.Name):
+                sources = assigned.get(a.id, set())
+            if any(ast.dump(b) in sources for b in operands if b is not a):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+                break
+    return found
+
+
+def test_parameter_rules_live_in_core():
+    modules = sorted(PACKAGE.glob("*.py"))
+    numbers_users = [
+        f"{path.name}:{node.lineno}"
+        for path in modules if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    ]
+    assert not numbers_users, "numbers imported outside core:\n" + "\n".join(numbers_users)
+    found = [hit for path in modules for hit in _int_comparisons(path)]
+    assert not found, "integer tests by int(v) == v:\n" + "\n".join(found)
 
 
 def test_cli_import_leaves_the_thread_pool_out():

@@ -1,5 +1,7 @@
 """Decay-exponent channels for the squared coherency and DCCA correlation."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,7 @@ from plcc.arfima import McArfimaSpec, generate_mc_arfima
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import InvalidParameter, PlccError
 from plcc.montecarlo import ExperimentConfig, run_experiment, split_seed
-from plcc.powerlaw import (
-    CoherencySettings,
-    classify,
-    coherency_report,
-    h_rho_frequency,
-    rho_decay,
-)
+from plcc.powerlaw import classify, coherency_report, h_rho_frequency, rho_decay
 
 
 def _standard_spec(rho=0.5):
@@ -102,14 +98,20 @@ def test_classify_validation():
         classify(0.9, 0.9, 0.9, tol=-0.1)
 
 
-def test_settings_validation():
+def test_settings_validation(monkeypatch):
+    # both settings are refused before any detrended pass is built
+    def no_pass(*args):
+        raise AssertionError("a pass was built")
+
+    monkeypatch.setattr("plcc.powerlaw.JointFluctuations", no_pass)
+    x = np.random.default_rng(4).standard_normal(512)
     with pytest.raises(InvalidParameter):
-        CoherencySettings(bandwidth=10)
+        coherency_report(x, x, bandwidth=10)
     with pytest.raises(InvalidParameter):
-        CoherencySettings(tolerance=0.0)
-    s = CoherencySettings()
-    assert s.bandwidth == 11
-    assert s.tolerance == 0.05
+        coherency_report(x, x, tolerance=0.0)
+    defaults = inspect.signature(coherency_report).parameters
+    assert defaults["bandwidth"].default == 11
+    assert defaults["tolerance"].default == 0.05
 
 
 # =========================================================================
@@ -168,14 +170,6 @@ def test_report_records_failures_instead_of_raising():
     )
 
 
-def test_report_echoes_settings():
-    x = np.random.default_rng(8).standard_normal(4096)
-    y = np.random.default_rng(9).standard_normal(4096)
-    settings = CoherencySettings(bandwidth=21, tolerance=0.1)
-    rep_out = coherency_report(x, y, settings)
-    assert rep_out.settings is settings
-
-
 # =========================================================================
 # one fluctuation pass, read by every consumer
 # =========================================================================
@@ -206,7 +200,7 @@ def test_report_and_mc_equal_standalone_estimators(seed, length, order):
     spec = _standard_spec()
     cfg = DetrendConfig(default_scale_grid(length, order), order)
     x, y = generate_mc_arfima(spec, length, seed)
-    rep = coherency_report(x, y, CoherencySettings(detrend=cfg))
+    rep = coherency_report(x, y, detrend=cfg)
     assert _channel(rep, "h_x") == _outcome(lambda: JointFluctuations(x, None, cfg).hurst_x())
     assert _channel(rep, "h_y") == _outcome(lambda: JointFluctuations(y, None, cfg).hurst_x())
     assert _channel(rep, "h_xy") == _outcome(lambda: JointFluctuations(x, y, cfg).hxy())
