@@ -441,11 +441,27 @@ def _cmd_analyze(args) -> int:
 # mc
 # =========================================================================
 
-_MC_KEYS = {
-    "mc.suite", "mc.length", "mc.lengths", "mc.replications", "mc.estimators",
-    "mc.master_seed", "mc.label", "mc.n_scales", "mc.poly_order", "mc.n_freqs",
-    "mc.bandwidth", "mc.scale_min", "mc.scale_max", "mc.tolerance",
+# The keys each mode reads; a single experiment reads the spec keys too. An
+# optional ``mc.<field>`` key of a single experiment sets that
+# ``ExperimentConfig`` field, so an absent key leaves the field's default.
+_SUITE_KEYS = {"mc.suite", "mc.length", "mc.replications", "mc.master_seed", "mc.tolerance"}
+_EXPERIMENT_FIELDS = {
+    "label": config_str,
+    **dict.fromkeys(
+        ("poly_order", "n_scales", "n_freqs", "bandwidth", "scale_min", "scale_max"), config_int
+    ),
 }
+_SINGLE_KEYS = {
+    "mc.lengths", "mc.replications", "mc.estimators", "mc.master_seed", "mc.tolerance",
+    *(f"mc.{name}" for name in _EXPERIMENT_FIELDS),
+}
+
+
+def _mc_fields(cfg: dict, readers: dict) -> dict:
+    """The ``mc.<name>`` keys set in ``cfg``, each read by its reader, by name."""
+    return {
+        name: read(cfg, f"mc.{name}") for name, read in readers.items() if f"mc.{name}" in cfg
+    }
 
 
 def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
@@ -464,46 +480,44 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
         echo = _record_fields(ExperimentConfig, params["config_echo"], "config_echo")
         spec = _record_fields(McArfimaSpec, echo["spec"], "config_echo.spec")
         configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(spec)})]
+    results = [run_experiment(c, jobs=jobs) for c in configs]
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
-        sweep = feasibility_sweep(configs, tolerance=tolerance, jobs=jobs)
-        results = sweep.pop("results")
-        summary = {"subcommand": "mc", **sweep}
+        summary = feasibility_sweep(results, tolerance)
     else:
-        results = [run_experiment(c, jobs=jobs) for c in configs]
         summary = {
-            "subcommand": "mc",
             "tolerance": tolerance,
-            "configs": [
-                {"label": r.label, "degraded": r.degraded} for r in results
-            ],
+            "configs": [{"label": r.label, "degraded": r.degraded} for r in results],
         }
     # the directory appears only once every check has passed
     os.makedirs(out_dir, exist_ok=True)
     docs = {os.path.join(out_dir, f"{res.label}.json"): res.to_dict() for res in results}
-    docs[os.path.join(out_dir, "summary.json")] = summary
+    docs[os.path.join(out_dir, "summary.json")] = {"subcommand": "mc", **summary}
     seeds = sorted({c.master_seed for c in configs})
     return EXIT_OK, seeds if len(seeds) > 1 else seeds[0], docs
 
 
 def _cmd_mc(args) -> int:
-    cfg, inputs = _read_config(args.config, _MC_KEYS)
+    cfg, inputs = _read_config(args.config, _SUITE_KEYS | _SINGLE_KEYS)
+    if "mc.suite" in cfg:
+        mode, reads, other = "suite", _SUITE_KEYS, "spec keys and single-experiment keys"
+    else:
+        mode, reads, other = "single-experiment", _SINGLE_KEYS | spec_config_keys(cfg), "suite keys"
+    stray = sorted(set(cfg) - reads)
+    if stray:
+        raise InvalidInput(f"{args.config}: {mode} mode ignores {other}; remove {', '.join(stray)}")
     tolerance = args.tol if args.tol is not None else config_float(cfg, "mc.tolerance", 0.05)
     master = _resolve_seed(args.seed, config_int(cfg, "mc.master_seed"))
     params: dict = {"out_dir": args.out_dir, "tolerance": tolerance}
-    if "mc.suite" in cfg:
+    if mode == "suite":
         config_str(cfg, "mc.suite", choices={"standard-regimes"})
-        stray = sorted(spec_config_keys(cfg))
-        if stray:
-            raise InvalidInput(
-                f"{args.config}: suite mode ignores spec keys; remove {', '.join(stray)}"
-            )
+        counts = _mc_fields(cfg, {"length": config_int, "replications": config_int})
+        seed = {} if master is None else {"master_seed": master}
+        # the record holds what the suite used, its defaults included
+        first = standard_regimes(**counts, **seed)[0]
         params.update(
-            mode="suite",
-            suite="standard-regimes",
-            length=config_int(cfg, "mc.length", 8192),
-            replications=config_int(cfg, "mc.replications", 100),
-            master_seed=master if master is not None else 1202,
-            generator=McArfimaSpec.generator,
+            mode="suite", suite="standard-regimes", length=first.lengths[0],
+            replications=first.replications, master_seed=first.master_seed,
+            generator=first.spec.generator,
         )
     else:
         for key in ("mc.lengths", "mc.replications", "mc.estimators"):
@@ -527,13 +541,7 @@ def _cmd_mc(args) -> int:
             replications=config_int(cfg, "mc.replications"),
             estimators=estimators,
             master_seed=master,
-            label=config_str(cfg, "mc.label", "experiment"),
-            poly_order=config_int(cfg, "mc.poly_order", 1),
-            n_scales=config_int(cfg, "mc.n_scales", 20),
-            n_freqs=config_int(cfg, "mc.n_freqs"),
-            bandwidth=config_int(cfg, "mc.bandwidth", 11),
-            scale_min=config_int(cfg, "mc.scale_min"),
-            scale_max=config_int(cfg, "mc.scale_max"),
+            **_mc_fields(cfg, _EXPERIMENT_FIELDS),
         )
         params.update(mode="single", config_echo=experiment.echo())
     code, docs = _run("mc", params, inputs, args.jobs)

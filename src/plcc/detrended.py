@@ -87,11 +87,13 @@ def default_scale_grid(
 ) -> np.ndarray:
     """Log-spaced integer scales between the order's minimum and ``length // 5``.
 
+    ``n_scales``, at least 5, is the count before rounding merges scales.
     ``min_scale`` and ``max_scale`` tighten the bounds without escaping them;
     capping the top is useful when a cross signal drowns in fluctuation noise
     at large scales.
     """
     lo = min_scale_for_order(_checked_order(poly_order))
+    n_scales = require_int("n_scales", n_scales, 5)
     if min_scale is not None:
         lo = max(lo, require_int("min_scale", min_scale))
     hi = require_int("length", length) // 5
@@ -101,7 +103,7 @@ def default_scale_grid(
         raise SeriesTooShort(
             f"length {length} leaves no admissible scales for order {poly_order}"
         )
-    grid = np.unique(np.round(np.geomspace(lo, hi, require_int("n_scales", n_scales))).astype(int))
+    grid = np.unique(np.round(np.geomspace(lo, hi, n_scales)).astype(int))
     if grid.size < 5:
         raise SeriesTooShort(f"length {length} yields fewer than 5 distinct scales")
     return grid
@@ -112,7 +114,10 @@ def default_scale_grid(
 # =========================================================================
 
 
-@lru_cache(maxsize=512)
+# Bounded, since one default grid at T = 2^20 holds 8.3 MB of bases. 64 keeps
+# the 38 bases of a standard-regimes suite at one length (its default and its
+# capped grid) warm, and the 20 of any one default grid.
+@lru_cache(maxsize=64)
 def _detrend_basis(s: int, order: int) -> np.ndarray:
     """Orthonormal polynomial basis on box abscissa 1..s rescaled to [-1, 1].
 

@@ -246,8 +246,9 @@ def spec_from_config(cfg: dict) -> McArfimaSpec:
 
     Unset weights default to a single active component per side (alpha and
     gamma 1, beta and delta 0), memory parameters default to 0 and sigma to
-    the identity; ``sigma.IJ`` sets the symmetric pair. Validation errors
-    carry the parameter name and its bound.
+    the identity; ``sigma.IJ`` sets the symmetric pair, so a config may not
+    also set ``sigma.JI``. Validation errors carry the parameter name and
+    its bound.
     """
     kwargs = {}
     for key, (field, default) in _SPEC_KEYS.items():
@@ -258,6 +259,8 @@ def spec_from_config(cfg: dict) -> McArfimaSpec:
         if not m:
             continue
         i, j = int(m.group(1)), int(m.group(2))
+        if i != j and f"sigma.{j}{i}" in cfg:
+            raise InvalidInput(f"config keys {key} and sigma.{j}{i} set the same entry; keep one")
         try:
             v = float(value)
         except ValueError:

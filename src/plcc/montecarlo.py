@@ -140,11 +140,11 @@ class ExperimentConfig:
     scale_max: int | None = None
 
     def __post_init__(self):
-        for name in ("replications", "master_seed", "n_scales"):
-            require_int(name, getattr(self, name))
-        for name in ("n_freqs", "scale_min", "scale_max"):
+        for name, least in (("replications", None), ("master_seed", 0), ("n_scales", None)):
+            require_int(name, getattr(self, name), least)
+        for name, least in (("n_freqs", None), ("scale_min", 1), ("scale_max", 1)):
             if getattr(self, name) is not None:
-                require_int(name, getattr(self, name))
+                require_int(name, getattr(self, name), least)
         for name in ("lengths", "estimators"):
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)):
@@ -164,17 +164,7 @@ class ExperimentConfig:
         ]
         if unknown:
             raise InvalidParameter(f"unknown estimators: {unknown}")
-        if self.master_seed < 0:
-            raise InvalidParameter("master_seed must be non-negative")
-        for name in ("scale_min", "scale_max"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise InvalidParameter(f"{name} must be a positive integer")
-        if (
-            self.scale_min is not None
-            and self.scale_max is not None
-            and self.scale_min >= self.scale_max
-        ):
+        if None not in (self.scale_min, self.scale_max) and self.scale_min >= self.scale_max:
             raise InvalidParameter("scale_min must be smaller than scale_max")
         validate_bandwidth(self.bandwidth)
         # what the estimators would refuse mid-run fails the config instead:
@@ -185,7 +175,7 @@ class ExperimentConfig:
             if _FLUCTUATION_TOKENS & set(self.estimators):
                 for length in self.lengths:
                     _detrend_config(self, length)
-        except (InvalidInput, ValueError) as exc:
+        except InvalidInput as exc:
             raise InvalidParameter(str(exc)) from None
 
     @property
@@ -394,50 +384,38 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     )
 
 
-def feasibility_sweep(
-    configs: Iterable[ExperimentConfig], tolerance: float = 0.05, jobs: int = 1
-) -> dict:
-    """Cross-exponent excess over the average exponent, per configuration.
+def feasibility_sweep(results: Iterable[ExperimentResult], tolerance: float = 0.05) -> dict:
+    """Cross-exponent excess over the average exponent, per finished experiment.
 
-    For every config (which must request both ``dfa`` and ``dcca``) the gap
-    ``mean H_xy - mean (H_x + H_y) / 2`` is computed from replication-aligned
-    samples together with its standard error. A positive gap beyond
-    ``tolerance`` would contradict the coherency bound, so the summary
-    reports whether all configs stay within it.
+    For every result (whose experiment must request both ``dfa`` and
+    ``dcca``) the gap ``mean H_xy - mean (H_x + H_y) / 2`` is computed from
+    replication-aligned samples together with its standard error. A positive
+    gap beyond ``tolerance`` would contradict the coherency bound, so the
+    summary reports whether all experiments stay within it.
 
-    Configs whose cross-exponent fits fail (sign-unstable cross fluctuations,
-    the expected outcome for independent pairs) yield rows with ``gap`` None
-    and land in the summary's ``unmeasured`` list; the bound is asserted over
-    the measured rows only, since a pair without a readable cross power law
-    has no exponent to bound.
+    Experiments whose cross-exponent fits fail (sign-unstable cross
+    fluctuations, the expected outcome for independent pairs) yield rows
+    with ``gap`` None and land in the summary's ``unmeasured`` list; the
+    bound is asserted over the measured rows only, since a pair without a
+    readable cross power law has no exponent to bound.
     """
     require_positive("tolerance", tolerance)
     rows = []
-    results = []
-    for cfg in configs:
-        if not {"dfa", "dcca"} <= set(cfg.estimators):
+    for res in results:
+        if not {"dfa", "dcca"} <= set(res.config_echo["estimators"]):
             raise InvalidParameter(
-                f"config {cfg.label!r} must include the dfa and dcca estimators"
+                f"experiment {res.label!r} must include the dfa and dcca estimators"
             )
-        res = run_experiment(cfg, jobs=jobs)
-        results.append(res)
-        for length in cfg.lengths:
-            hx = res.samples("dfa_hx", length)
-            hy = res.samples("dfa_hy", length)
-            hxy = res.samples("dcca_hxy", length)
+        for length in res.lengths:
+            hx, hy, hxy = (res.samples(m, length) for m in ("dfa_hx", "dfa_hy", "dcca_hxy"))
             gaps = np.array(
-                [
-                    c - (a + b) / 2.0
-                    for a, b, c in zip(hx, hy, hxy)
-                    if a is not None and b is not None and c is not None
-                ]
+                [c - (a + b) / 2.0 for a, b, c in zip(hx, hy, hxy) if None not in (a, b, c)]
             )
-            n_failed_hxy = sum(1 for c in hxy if c is None)
             row = {
-                "label": cfg.label,
+                "label": res.label,
                 "length": length,
                 "n": int(gaps.size),
-                "n_failed_hxy": n_failed_hxy,
+                "n_failed_hxy": hxy.count(None),
                 "gap": None,
                 "gap_se": None,
                 "within_bound": None,
@@ -458,7 +436,6 @@ def feasibility_sweep(
         "all_within_bound": bool(measured)
         and all(r["within_bound"] for r in measured),
         "unmeasured": [(r["label"], r["length"]) for r in rows if r["gap"] is None],
-        "results": results,
     }
 
 

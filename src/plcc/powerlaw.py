@@ -132,16 +132,18 @@ def coherency_report(
 
     Unset settings resolve against the series length: ``detrend`` to the
     default scale grid, ``n_freqs`` to ``floor(sqrt(T))`` frequencies. The
-    bandwidth and the classification ``tolerance`` are checked before any
-    pass. Every detrended channel reads one :class:`JointFluctuations`
-    pass. The regime comes from :func:`classify` applied to the detrended
-    exponents, so it is only available when H_x, H_y and H_xy all estimate
-    cleanly.
+    bandwidth, an explicit ``n_freqs`` and the classification ``tolerance``
+    are checked before any pass. Every detrended channel reads one
+    :class:`JointFluctuations` pass. The regime comes from :func:`classify`
+    applied to the detrended exponents, so it is only available when H_x,
+    H_y and H_xy all estimate cleanly.
     """
     bandwidth = validate_bandwidth(bandwidth)
     require_positive("tolerance", tolerance)
     vx = series_values(x)
     vy = series_values(y)
+    if n_freqs is not None:
+        n_freqs = resolve_n_freqs(n_freqs, vx.size)
     failures: dict = {}
 
     def attempt(name, fn, *args):

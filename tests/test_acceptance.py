@@ -145,7 +145,8 @@ def test_feasibility_gap_bounded_across_regimes():
     # average of the marginals by more than 0.05; pairs with no readable
     # cross power law are reported as unmeasured rather than fitted
     t0 = time.monotonic()
-    sweep = feasibility_sweep(standard_regimes(8192, 100, 1202), tolerance=0.05)
+    results = [run_experiment(cfg) for cfg in standard_regimes(8192, 100, 1202)]
+    sweep = feasibility_sweep(results, tolerance=0.05)
     elapsed = time.monotonic() - t0
     for row in sweep["rows"]:
         gap = "unmeasured" if row["gap"] is None else f"{row['gap']:+.4f}"

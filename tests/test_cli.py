@@ -13,7 +13,14 @@ from plcc.arfima import generate_arfima
 from plcc.cli import main
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import EstimationFailed
-from plcc.fileio import read_series_csv, sha256_file, write_series_csv
+from plcc.fileio import (
+    json_dumps,
+    read_series_csv,
+    sha256_file,
+    spec_from_config,
+    write_series_csv,
+)
+from plcc.montecarlo import ExperimentConfig, standard_regimes
 from plcc.powerlaw import coherency_report
 
 GEN_CFG = """
@@ -411,8 +418,12 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
          "manifest field 'outputs' is not a JSON object"),
     ]
     # real manifests with one parameter removed: the generator would have
-    # run before the output path was needed, the analysis before its order
-    for name, key in (("pair.csv", "out"), ("fit.json", "order")):
+    # run before the output path was needed, the analysis before its order,
+    # and a suite would have run at the library's counts and seed
+    for name, key in (
+        ("pair.csv", "out"), ("fit.json", "order"),
+        (suite, "length"), (suite, "replications"), (suite, "master_seed"),
+    ):
         doc = dict(real[name], parameters=dict(real[name]["parameters"]))
         del doc["parameters"][key]
         cases.append((json.dumps(doc), f"manifest parameters lack the '{key}' key"))
@@ -705,6 +716,66 @@ def test_mc_config_errors(tmp_path, capsys):
         assert main(["mc", cfg, "--out-dir", str(out_dir), flag, value]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "mc.suite = standard-regimes\nmc.length = 1024\nmc.replications = 2\n"
+            "mc.lengths = 512\nmc.estimators = logcross\nmc.label = mine\nmc.n_scales = 7\n"
+            "spec.d1 = 0.3\n",
+            "suite mode ignores spec keys and single-experiment keys; remove "
+            "mc.estimators, mc.label, mc.lengths, mc.n_scales, spec.d1",
+        ),
+        (
+            MC_SINGLE_CFG + "mc.length = 4096\n",
+            "single-experiment mode ignores suite keys; remove mc.length",
+        ),
+    ],
+    ids=["suite", "single"],
+)
+def test_mc_modes_refuse_the_keys_of_the_other_mode(tmp_path, capsys, text, message):
+    # a key the chosen mode does not read used to be dropped without a
+    # word: the suite ran its five regimes at mc.length with dfa and dcca,
+    # and the single experiment ran at 512 only
+    cfg = _write(tmp_path / "mc.cfg", text)
+    out_dir = tmp_path / "out"
+    assert main(["mc", cfg, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"plcc: error: {cfg}: {message}\n"
+    assert not os.path.exists(out_dir)
+
+
+def test_mc_records_the_library_defaults(tmp_path):
+    # an absent key leaves the ExperimentConfig field or the standard_regimes
+    # argument at the library's default, and the record holds the value used
+    single = _write(
+        tmp_path / "single.cfg",
+        "mc.lengths = 512, 1024\nmc.replications = 2\nmc.estimators = dfa\nmc.master_seed = 5\n",
+    )
+    assert main(["mc", single, "--out-dir", str(tmp_path / "single")]) == 0
+    params = json.load(open(tmp_path / "single" / "summary.json.manifest.json"))["parameters"]
+    expected = ExperimentConfig(
+        spec=spec_from_config({}), lengths=(512, 1024), replications=2,
+        estimators=("dfa",), master_seed=5,
+    )
+    assert params["config_echo"] == json.loads(json_dumps(expected.echo()))
+    suite = _write(tmp_path / "suite.cfg", "mc.suite = standard-regimes\nmc.length = 1024\n"
+                   "mc.replications = 2\n")
+    assert main(["mc", suite, "--out-dir", str(tmp_path / "suite")]) == 0
+    params = json.load(open(tmp_path / "suite" / "summary.json.manifest.json"))["parameters"]
+    first = standard_regimes(length=1024, replications=2)[0]
+    assert params["master_seed"] == first.master_seed
+
+
+def test_generate_refuses_both_orders_of_a_covariance_key(tmp_path, capsys):
+    cfg = _write(tmp_path / "g.cfg", GEN_CFG + "sigma.31 = 0.6\n")
+    out = tmp_path / "pair.csv"
+    assert main(["generate", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "plcc: error: config keys sigma.13 and sigma.31 set the same entry; keep one\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_infinite_numbers_are_refused_before_anything_is_written(

@@ -9,6 +9,7 @@ from plcc.arfima import McArfimaSpec, generate_arfima, generate_mc_arfima
 from plcc.detrended import (
     DetrendConfig,
     JointFluctuations,
+    _detrend_basis,
     default_scale_grid,
     min_scale_for_order,
 )
@@ -57,6 +58,28 @@ def test_default_scale_grid_too_short():
         default_scale_grid(40)
     with pytest.raises(SeriesTooShort):
         default_scale_grid(4096, min_scale=500, max_scale=503)
+
+
+def test_default_scale_grid_refuses_fewer_than_five_scales():
+    # the count is a parameter, refused like --scales refuses one below 5,
+    # not a series too short or numpy's error for a negative sample count
+    for n_scales in (-1, 0, 3, 4):
+        message = f"n_scales must be an integer >= 5, got {n_scales}"
+        with pytest.raises(InvalidParameter, match=message):
+            default_scale_grid(1024, 1, n_scales)
+    assert default_scale_grid(1024, 1, 5).size == 5
+
+
+def test_detrend_basis_cache_is_bounded():
+    # bases of passes at many lengths do not stay alive for the process
+    _detrend_basis.cache_clear()
+    rng = np.random.default_rng(12)
+    for length in range(1000, 1000 + 40 * 97, 97):
+        x = rng.standard_normal(length)
+        JointFluctuations(x, None, DetrendConfig(default_scale_grid(length))).fxx
+    info = _detrend_basis.cache_info()
+    assert info.misses > 64
+    assert info.currsize <= 64
 
 
 def test_detrend_config_validation():

@@ -285,6 +285,14 @@ def test_spec_from_config_sigma_symmetric():
     assert spec.d1 == 0.1
 
 
+def test_spec_from_config_refuses_both_orders_of_a_covariance_key():
+    # sigma.13 and sigma.31 set one entry; the later key used to win silently
+    with pytest.raises(InvalidInput, match="sigma.13 and sigma.31 set the same entry"):
+        spec_from_config({"sigma.13": "0.3", "sigma.31": "0.6"})
+    assert spec_from_config({"sigma.31": "0.6"}).sigma[0, 2] == 0.6
+    assert spec_from_config({"sigma.22": "2.0"}).sigma[1, 1] == 2.0
+
+
 def test_spec_from_config_validation_messages():
     with pytest.raises(InvalidParameter, match=r"d1 = 0\.7.*\(-0\.5, 0\.5\)"):
         spec_from_config({"spec.d1": "0.7"})

@@ -127,8 +127,8 @@ def test_experiment_config_validation():
     # before any generation; a spectral-only config does not build one
     bad_grids = [
         ({"scale_min": 200}, "leaves no admissible scales"),
-        ({"n_scales": 3}, "fewer than 5 distinct scales"),
-        ({"n_scales": -1}, "must be non-negative"),
+        ({"n_scales": 3}, "n_scales must be an integer >= 5, got 3"),
+        ({"n_scales": -1}, "n_scales must be an integer >= 5, got -1"),
         ({"scale_min": 11, "scale_max": 12}, "fewer than 5 distinct scales"),
         ({"poly_order": -1}, "poly_order must be a non-negative integer"),
         ({"poly_order": 1.5}, "poly_order must be a non-negative integer"),
@@ -295,14 +295,13 @@ def test_feasibility_sweep_aggregation():
         spec=INDEPENDENT, lengths=(1024,), replications=6,
         estimators=("dfa", "dcca"), master_seed=78, label="indep",
     )
-    out = feasibility_sweep([corr, indep], tolerance=0.1)
-    assert set(out) == {
-        "tolerance", "rows", "max_gap", "all_within_bound", "unmeasured", "results",
-    }
+    results = [run_experiment(corr), run_experiment(indep)]
+    out = feasibility_sweep(results, tolerance=0.1)
+    assert set(out) == {"tolerance", "rows", "max_gap", "all_within_bound", "unmeasured"}
     assert len(out["rows"]) == 2
     by_label = {r["label"]: r for r in out["rows"]}
 
-    res = out["results"][0]
+    res = results[0]
     hx = res.samples("dfa_hx", 1024)
     hy = res.samples("dfa_hy", 1024)
     hxy = res.samples("dcca_hxy", 1024)
@@ -329,7 +328,7 @@ def test_feasibility_sweep_validation():
         estimators=("dfa",), master_seed=1, label="nodcca",
     )
     with pytest.raises(InvalidParameter):
-        feasibility_sweep([cfg])
+        feasibility_sweep([run_experiment(cfg)])
     with pytest.raises(InvalidParameter):
         feasibility_sweep([], tolerance=0.0)
 

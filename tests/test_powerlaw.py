@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_mc_arfima
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
-from plcc.errors import InvalidParameter, PlccError
+from plcc.errors import InvalidInput, InvalidParameter, PlccError
 from plcc.montecarlo import ExperimentConfig, run_experiment, split_seed
 from plcc.powerlaw import classify, coherency_report, h_rho_frequency, rho_decay
 
@@ -139,6 +139,33 @@ def test_report_standard_process_classification():
     assert -0.1 < np.mean(freq_means) < 0.1
     assert -0.1 < np.mean(time_means) < 0.1
     assert -0.1 < np.mean(diff_means) < 0.1
+
+
+def test_report_refuses_an_explicit_band_before_any_pass(monkeypatch):
+    # an explicit n_freqs outside [8, T/4] is a usage error, as the CLI
+    # treats it, not a frequency-channel failure with regime infeasible-flag
+    def no_pass(*args):
+        raise AssertionError("a pass was built")
+
+    monkeypatch.setattr("plcc.powerlaw.JointFluctuations", no_pass)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal(1024), rng.standard_normal(1024)
+    for n_freqs, message in [
+        (3.0, "n_freqs must be an integer, got 3.0"),
+        (4, r"n_freqs must lie in \[8, T/4\] = \[8, 256\], got 4"),
+        (300, r"n_freqs must lie in \[8, T/4\] = \[8, 256\], got 300"),
+    ]:
+        with pytest.raises(InvalidInput, match=message):
+            coherency_report(x, y, n_freqs=n_freqs)
+
+
+def test_report_default_band_stays_a_channel_failure():
+    # without an explicit n_freqs the band resolves per series, and a
+    # series too short for any band fails the frequency channel alone
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal(24), rng.standard_normal(24)
+    rep_out = coherency_report(x, y)
+    assert rep_out.failures["h_rho_freq"] == "n_freqs must lie in [8, T/4] = [8, 6], got 8"
 
 
 def test_report_identical_series():
