@@ -317,39 +317,33 @@ def _weight_spectrum(d: float, n_weights: int, n_fft: int) -> np.ndarray:
     return spectrum
 
 
-def _fft_convolve_tail(streams, spectrum: np.ndarray, n_weights: int, n_keep: int):
-    """Fully-overlapping part of ``stream * weights``, first ``n_keep`` samples,
-    for each of ``streams`` in turn.
+def _fft_convolve_tail(stream, spectrum, n_weights: int, skip: int, n_keep: int) -> np.ndarray:
+    """Fully-overlapping part of ``stream * weights``: ``n_keep`` samples
+    after the first ``skip``, as a compact copy.
 
     ``spectrum`` is the ``rfft`` of the ``n_weights`` weights at the
     transform size :func:`_transform_length` gives (see
     :func:`_weight_spectrum`). Equivalent to
-    ``np.convolve(stream, weights)[n_weights-1:][:n_keep]`` but FFT-based;
-    direct convolution is quadratic and unusable at the default truncation
-    lengths. The streams share one length, so they share the spectrum, which
-    the caller keeps. Each result is a compact copy, and the stream's
-    transform-sized arrays are released before the next transform, so the
-    peak memory is that of one convolution plus the caller's spectra.
+    ``np.convolve(stream, weights)[n_weights-1+skip:][:n_keep]`` but
+    FFT-based; direct convolution is quadratic and unusable at the default
+    truncation lengths. The transform-sized arrays are released on return,
+    so the peak memory is that of one convolution plus the caller's spectra.
 
     A transform of size ``N`` returns the linear convolution wrapped modulo
     ``N``. For ``W`` weights and a stream of length ``L >= W`` the kept
-    indices ``k`` lie in ``[W - 1, L)``, as ``n_keep <= L - W + 1``. With
-    ``N >= L`` their aliases ``k + N >= L + W - 1`` lie past the last index
-    of the linear convolution, ``L + W - 2``, so any ``N >= L`` gives the
-    exact tail with no circular wrap. Version 1 pads to the whole linear
-    length instead; the two versions differ only in rounding, by a few
-    units in the last place.
+    indices ``k`` lie in ``[W - 1, L)``, as ``skip + n_keep <= L - W + 1``.
+    With ``N >= L`` their aliases ``k + N >= L + W - 1`` lie past the last
+    index of the linear convolution, ``L + W - 2``, so any ``N >= L`` gives
+    the exact tail with no circular wrap. Version 1 pads to the whole linear
+    length instead; the two versions differ only in rounding, by a few units
+    in the last place.
     """
     # every transform size is a power of two, so even
     n_fft = 2 * (spectrum.size - 1)
-    start = n_weights - 1
-    for stream in streams:
-        prod = np.fft.rfft(stream, n_fft)
-        prod *= spectrum
-        full = np.fft.irfft(prod, n_fft)
-        del prod
-        yield full[start : start + n_keep].copy()
-        del full
+    start = n_weights - 1 + skip
+    prod = np.fft.rfft(stream, n_fft)
+    prod *= spectrum
+    return np.fft.irfft(prod, n_fft)[start : start + n_keep].copy()
 
 
 def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,32 +352,26 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     ``innovations`` must have shape (4, truncation + burn_in + length). This
     is the deterministic core of :func:`generate_mc_arfima`, exposed so the
     filtering can be checked independently of the stream generation (for
-    example under a consistent swap of the two sides). The weight spectra
-    come from the spec's memo, so a second call on the same spec object
-    transforms only the streams.
+    example under a consistent swap of the two sides). Each nonzero-weight
+    component is filtered on its own; the weight spectra come from the
+    spec's memo, so components that share a ``d``, and a second call on the
+    same spec object, transform only the streams.
     """
     if spec.truncation is None or spec.burn_in is None:
         raise InvalidParameter("spec must be resolved before filtering")
-    n_keep = spec.burn_in + length
-    needed = spec.truncation + n_keep
+    needed = spec.truncation + spec.burn_in + length
     if innovations.shape != (4, needed):
         raise InvalidParameter(
             f"innovations must have shape (4, {needed}), got {innovations.shape}"
         )
-    components = spec.component_weights()
-    by_d: dict[float, list[int]] = {}
-    for i, (weight, d) in enumerate(components):
-        if weight != 0.0:
-            by_d.setdefault(d, []).append(i)
     n_weights = spec.truncation + 1
     n_fft = _transform_length(needed, n_weights, spec.generator)
     parts = [np.zeros(length)] * 4
-    for d, active in by_d.items():
-        spectrum = spec._spectrum(d, n_weights, n_fft)
-        streams = [innovations[i] for i in active]
-        tails = _fft_convolve_tail(streams, spectrum, n_weights, n_keep)
-        for i, tail in zip(active, tails):
-            parts[i] = components[i][0] * tail[spec.burn_in :]
+    for i, (weight, d) in enumerate(spec.component_weights()):
+        if weight != 0.0:
+            spectrum = spec._spectrum(d, n_weights, n_fft)
+            tail = _fft_convolve_tail(innovations[i], spectrum, n_weights, spec.burn_in, length)
+            parts[i] = weight * tail
     return parts[0] + parts[1], parts[2] + parts[3]
 
 
@@ -433,6 +421,4 @@ def generate_arfima(
     stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
     n_fft = _transform_length(stream.size, trunc + 1, McArfimaSpec.generator)
     spectrum = _weight_spectrum(d, trunc + 1, n_fft)
-    (tail,) = _fft_convolve_tail([stream], spectrum, trunc + 1, burn + n)
-    # a compact copy: a view would keep the burn-in alive
-    return _read_only(tail[burn:].copy())
+    return _read_only(_fft_convolve_tail(stream, spectrum, trunc + 1, burn, n))

@@ -13,7 +13,7 @@ writes one sidecar ``<output>.manifest.json`` per output, listing the digests
 of all outputs. ``replay`` first checks every recorded output still on disk
 against its digest and stops if one was modified, so that it never
 overwrites one; it then sends the recorded parameters and inputs down the
-same path and checks the rewritten outputs against the recorded digests.
+same path and compares the digests of what that run wrote with the record.
 
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
@@ -207,7 +207,7 @@ def _cmd_generate(args) -> int:
         "output": config_str(cfg, "output", "pair", choices={"pair", "x"}),
         "spec": spec_from_config(cfg).to_dict(),
     }
-    code, _ = _run("generate", params, inputs, 1)
+    code = _run("generate", params, inputs, 1)[0]
     print(f"wrote {args.out}: {length} rows, seed {seed}")
     return code
 
@@ -429,7 +429,7 @@ def _cmd_analyze(args) -> int:
     out = params["out"]
     if out is None:
         out = params["out"] = f"{os.path.splitext(args.input)[0]}.{args.analysis}.json"
-    code, _ = _run(args.analysis, params, {}, 1)
+    code = _run(args.analysis, params, {}, 1)[0]
     if code == EXIT_OK:
         print(f"{args.analysis}: wrote {out}")
     else:
@@ -480,6 +480,15 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
         echo = _record_fields(ExperimentConfig, params["config_echo"], "config_echo")
         spec = _record_fields(McArfimaSpec, echo["spec"], "config_echo.spec")
         configs = [ExperimentConfig(**{**echo, "spec": McArfimaSpec.from_dict(spec)})]
+    for label in (c.label for c in configs):
+        # the result document is <label>.json in out_dir, beside summary.json
+        if not isinstance(label, str) or label in ("", "summary") or label[:1] == "." or any(
+            sep and sep in label for sep in ("/", os.sep, os.altsep)
+        ):
+            raise InvalidParameter(
+                f"mc.label {label!r} must name a file in the output directory: not empty, "
+                "not 'summary', no leading '.' and no path separator"
+            )
     results = [run_experiment(c, jobs=jobs) for c in configs]
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
         summary = feasibility_sweep(results, tolerance)
@@ -544,7 +553,7 @@ def _cmd_mc(args) -> int:
             **_mc_fields(cfg, _EXPERIMENT_FIELDS),
         )
         params.update(mode="single", config_echo=experiment.echo())
-    code, docs = _run("mc", params, inputs, args.jobs)
+    code, docs, _ = _run("mc", params, inputs, args.jobs)
     summary = docs[os.path.join(args.out_dir, "summary.json")]
     if "max_gap" in summary:
         print(
@@ -568,8 +577,8 @@ def _cmd_mc(args) -> int:
 _EXEC = {"generate": _exec_generate, "mc": _exec_mc, **dict.fromkeys(_ANALYZE_FN, _exec_analyze)}
 
 
-def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
-    """Execute a subcommand and record it; returns the exit code and outputs.
+def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict, dict]:
+    """Execute a subcommand and record it; returns the exit code, outputs and their digests.
 
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run.
@@ -590,7 +599,7 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict]:
     sidecar = {**manifest, "outputs": {p: sha256_file(p) for p in outputs}}
     for path in outputs:
         write_json(f"{path}.manifest.json", sidecar)
-    return code, outputs
+    return code, outputs, sidecar["outputs"]
 
 
 def _cmd_replay(args) -> int:
@@ -612,17 +621,14 @@ def _cmd_replay(args) -> int:
     # the original ones byte for byte; an analysis also refuses to replay
     # over an input file whose digest changed.
     try:
-        code, _ = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
+        code, _, digests = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
     except KeyError as exc:
         raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
     except InvalidParameter as exc:
         # a fresh run refuses a bad parameter before it writes a manifest,
         # so in a replay (--jobs aside) the record holds it
         raise InvalidInput(f"{args.manifest}: {exc}") from None
-    mismatched = []
-    for path, digest in sorted(recorded.items()):
-        if sha256_file(path) != digest:
-            mismatched.append(path)
+    mismatched = sorted(p for p in {*recorded, *digests} if recorded.get(p) != digests.get(p))
     if mismatched:
         _fail(
             "replay outputs differ from the manifest record: "

@@ -164,6 +164,11 @@ class ExperimentConfig:
         ]
         if unknown:
             raise InvalidParameter(f"unknown estimators: {unknown}")
+        # a repeat would run twice and write cells that share one key
+        for name in ("lengths", "estimators"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise InvalidParameter(f"{name} must not repeat an entry, got {list(entries)}")
         if None not in (self.scale_min, self.scale_max) and self.scale_min >= self.scale_max:
             raise InvalidParameter("scale_min must be smaller than scale_max")
         validate_bandwidth(self.bandwidth)

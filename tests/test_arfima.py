@@ -286,28 +286,32 @@ def test_fft_filter_matches_direct_convolution():
     truncation=st.one_of(st.none(), st.integers(1, 6000)),
     burn_in=st.one_of(st.none(), st.integers(0, 3000)),
     seed=st.integers(0, 2**32),
+    skip_share=st.floats(0, 1),
 )
-@example(length=8193, d=0.4, truncation=None, burn_in=0, seed=1)
-@example(length=64, d=-0.3, truncation=1, burn_in=0, seed=2)
-def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed):
+@example(length=8193, d=0.4, truncation=None, burn_in=0, seed=1, skip_share=0.0)
+@example(length=64, d=-0.3, truncation=1, burn_in=0, seed=2, skip_share=1.0)
+def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed, skip_share):
     # version 2 transforms at a power of two >= the stream, never longer
     # than version 1's power of two above the linear convolution; the kept
     # tail agrees with version 1, and at small sizes both agree with the
-    # direct convolution
+    # direct convolution. The skipped burn-in may be any share of the
+    # fully-overlapping samples but the last.
     spec = McArfimaSpec(1, 0, 1, 0, d, 0, 0, 0, np.eye(4), truncation=truncation, burn_in=burn_in)
     spec = spec.resolved(length)
-    trunc, n_keep = spec.truncation, spec.burn_in + length
-    stream = np.random.default_rng(seed).standard_normal(trunc + n_keep)
+    trunc, n_tail = spec.truncation, spec.burn_in + length
+    stream = np.random.default_rng(seed).standard_normal(trunc + n_tail)
     weights = arfima_weights(d, trunc + 1)
+    skip = int(skip_share * (n_tail - 1))
+    n_keep = n_tail - skip
     n1, n2 = (_transform_length(stream.size, weights.size, g) for g in (1, 2))
     assert stream.size <= n2 <= n1
-    (v1,) = _fft_convolve_tail([stream], np.fft.rfft(weights, n1), weights.size, n_keep)
-    (v2,) = _fft_convolve_tail([stream], np.fft.rfft(weights, n2), weights.size, n_keep)
+    v1 = _fft_convolve_tail(stream, np.fft.rfft(weights, n1), weights.size, skip, n_keep)
+    v2 = _fft_convolve_tail(stream, np.fft.rfft(weights, n2), weights.size, skip, n_keep)
     assert v1.shape == v2.shape == (n_keep,)
     # relative to the tail's scale: single samples may sit near zero
     np.testing.assert_allclose(v2, v1, rtol=1e-12, atol=1e-12 * np.abs(v1).max())
     if stream.size * weights.size <= 2_000_000:
-        direct = np.convolve(stream, weights)[trunc : trunc + n_keep]
+        direct = np.convolve(stream, weights)[weights.size - 1 + skip :][:n_keep]
         assert np.allclose(v1, direct, rtol=1e-10, atol=1e-12)
         assert np.allclose(v2, direct, rtol=1e-10, atol=1e-12)
 

@@ -464,6 +464,12 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("r.json", [], {"tolerance": math.inf}, "tolerance must be finite, got inf"),
         (suite, [], {"tolerance": math.inf}, "tolerance must be finite, got inf"),
         ("pair.csv", ["spec"], {"dof": math.inf}, "dof must be finite, got inf"),
+        # a fresh run refuses these before any replication, and so does a replay
+        (mc, ["config_echo"], {"label": "../escaped"},
+         "mc.label '../escaped' must name a file in the output directory: not empty, "
+         "not 'summary', no leading '.' and no path separator"),
+        (mc, ["config_echo"], {"estimators": ["dfa", "dcca", "dfa"]},
+         "estimators must not repeat an entry, got ['dfa', 'dcca', 'dfa']"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]
@@ -625,6 +631,26 @@ def test_replay_keeps_a_modified_original(tmp_path, capsys, monkeypatch):
     assert _contents(["r.json", "r.json.manifest.json"]) == original
 
 
+def test_replay_compares_what_its_own_run_wrote(tmp_path, capsys, monkeypatch):
+    # a record whose out was edited writes elsewhere, so the untouched
+    # original at the recorded path cannot vouch for the replay
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", "length = 256\nseed = 3\nspec.d1 = 0.3\nspec.d3 = 0.3\nsigma.13 = 0.5\n")
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    doc = json.load(open("pair.csv.manifest.json"))
+    doc["parameters"]["out"] = "other.csv"
+    _write(tmp_path / "edited.json", json.dumps(doc))
+    original = _contents(["pair.csv", "pair.csv.manifest.json"])
+    capsys.readouterr()
+    assert main(["replay", "edited.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "plcc: error: replay outputs differ from the manifest record: other.csv, pair.csv\n"
+    )
+    assert "replay ok" not in captured.out
+    assert _contents(["pair.csv", "pair.csv.manifest.json"]) == original
+
+
 # =========================================================================
 # mc
 # =========================================================================
@@ -661,6 +687,36 @@ def test_mc_single_experiment(tmp_path, capsys):
     }
     for path, digest in side["outputs"].items():
         assert sha256_file(path) == digest
+
+
+@pytest.mark.parametrize("label", ["summary", "../escaped", "a/b", "", ".hidden"])
+def test_mc_refuses_a_label_that_is_not_a_file_name(tmp_path, capsys, monkeypatch, label):
+    # the result document is <label>.json in --out-dir: a label that would
+    # overwrite the summary, leave the directory, need a subdirectory or
+    # hide the document is refused before any replication, writing nothing
+    monkeypatch.setattr("plcc.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+    work = tmp_path / "work"
+    work.mkdir()
+    cfg = _write(work / "mc.cfg", MC_SINGLE_CFG.replace("mc.label = smoke", f"mc.label = {label}"))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["mc", cfg, "--out-dir", str(work / "out")]) == 2
+    assert f"mc.label {label!r} must name a file in the output directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("mc.lengths = 512", "mc.lengths = 512, 1024, 512", "lengths must not repeat an entry"),
+        ("dfa, dcca", "dfa, dcca, dfa", "estimators must not repeat an entry"),
+    ],
+)
+def test_mc_refuses_repeated_entries(tmp_path, capsys, old, new, message):
+    cfg = _write(tmp_path / "mc.cfg", MC_SINGLE_CFG.replace(old, new))
+    out_dir = tmp_path / "runs"
+    assert main(["mc", cfg, "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_mc_config_errors(tmp_path, capsys):

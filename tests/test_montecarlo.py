@@ -108,6 +108,12 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**ok, "estimators": ("dfa", "mystery")})
     with pytest.raises(InvalidParameter):
         ExperimentConfig(**{**ok, "estimators": ()})
+    # a repeat would run twice and write two cells under one (measurement,
+    # length) key, of which ExperimentResult.cell finds only the first
+    with pytest.raises(InvalidParameter, match=r"lengths must not repeat an entry, got \[512, 1024, 512\]"):
+        ExperimentConfig(**{**ok, "lengths": (512, 1024, 512)})
+    with pytest.raises(InvalidParameter, match="estimators must not repeat an entry"):
+        ExperimentConfig(**{**ok, "estimators": ("dfa", "dcca", "dfa")})
     with pytest.raises(InvalidParameter):
         ExperimentConfig(**{**ok, "master_seed": -5})
     with pytest.raises(InvalidParameter):
