@@ -15,7 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, is_integer, profile, require_int, series_values
+from .core import (
+    ScalingFit,
+    fit_loglog,
+    is_constant,
+    is_integer,
+    profile,
+    require_int,
+    series_values,
+)
 from .errors import (
     DegenerateInput,
     EstimationFailed,
@@ -132,14 +140,19 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
 
 
 def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
-    """Residual matrix (2*(T//s), s) of box-wise polynomial detrending."""
+    """Residual matrix (2*(T//s), s) of box-wise polynomial detrending.
+
+    The forward boxes fill the top half and the backward boxes the bottom
+    half; the trend projection is subtracted in place.
+    """
     t = pv.size
     ns = t // s
-    fwd = pv[: ns * s].reshape(ns, s)
-    bwd = pv[t - ns * s :].reshape(ns, s)
-    boxes = np.concatenate([fwd, bwd], axis=0)
+    boxes = np.empty((2 * ns, s))
+    boxes[:ns] = pv[: ns * s].reshape(ns, s)
+    boxes[ns:] = pv[t - ns * s :].reshape(ns, s)
     q = _detrend_basis(s, order)
-    return boxes - (boxes @ q) @ q.T
+    boxes -= (boxes @ q) @ q.T
+    return boxes
 
 
 _ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
@@ -158,9 +171,9 @@ class JointFluctuations:
     The readers (:meth:`hurst_x`, :meth:`hurst_y`, :meth:`hxy`, :meth:`rho`,
     :meth:`beta`) turn the curves into the detrended statistics. An
     undefined statistic does not stop the pass: reading a curve of a
-    zero-variance side raises :class:`DegenerateInput`, and every curve
-    raises when the grid does not fit the series length, so the other side
-    of a pair stays readable.
+    constant side (all observations equal) raises :class:`DegenerateInput`,
+    and every curve raises when the grid does not fit the series length, so
+    the other side of a pair stays readable.
     """
 
     def __init__(self, x, y, cfg: DetrendConfig):
@@ -178,36 +191,41 @@ class JointFluctuations:
             grid_error = InvalidInput(
                 f"largest scale {int(cfg.scale_grid[-1])} exceeds T/5 = {t // 5}"
             )
-        # Why each side's curve is undefined, or None. A zero variance is
+        # Why each side's curve is undefined, or None. A constant side is
         # reported before a grid that does not fit, as for a lone series.
-        self._error_x = DegenerateInput(_ZERO_VARIANCE) if vx.std() == 0.0 else grid_error
+        self._error_x = DegenerateInput(_ZERO_VARIANCE) if is_constant(vx) else grid_error
         self._error_y = self._error_x
         if y is not None:
-            self._error_y = DegenerateInput(_ZERO_VARIANCE) if vy.std() == 0.0 else grid_error
+            self._error_y = DegenerateInput(_ZERO_VARIANCE) if is_constant(vy) else grid_error
         self.scales = cfg.scale_grid
         self._fxx = self._fyy = self._fxy = None
         if grid_error is not None:
             return
         px = profile(vx)
-        py = px if y is None else profile(vy)
-        k = cfg.scale_grid.size
-        fxx = np.empty(k)
-        fyy = np.empty(k)
-        fxy = np.empty(k)
+        py = None if y is None else profile(vy)
+        curves = np.empty((1 if py is None else 3, cfg.scale_grid.size))
         for i, s in enumerate(cfg.scale_grid):
-            rx = _box_residuals(px, int(s), cfg.poly_order)
-            ry = rx if py is px else _box_residuals(py, int(s), cfg.poly_order)
-            # box statistic = mean squared residual; curve value = mean over boxes
-            fxx[i] = (rx * rx).mean(axis=1).mean()
-            if ry is rx:
-                fyy[i] = fxx[i]
-                fxy[i] = fxx[i]
-            else:
-                fyy[i] = (ry * ry).mean(axis=1).mean()
-                fxy[i] = (rx * ry).mean(axis=1).mean()
-        for curve in (fxx, fyy, fxy):
-            curve.flags.writeable = False
-        self._fxx, self._fyy, self._fxy = fxx, fyy, fxy
+            s = int(s)
+            rx = _box_residuals(px, s, cfg.poly_order)
+            factors = [(rx, rx)]
+            if py is not None:
+                ry = _box_residuals(py, s, cfg.poly_order)
+                factors += [(ry, ry), (rx, ry)]
+            # box statistic = mean residual product; curve value = mean over
+            # boxes. Row sums divided by s, then their sum divided by the box
+            # count, is the arithmetic of .mean(axis=1).mean(), bit for bit.
+            product = np.empty_like(rx)
+            rows = np.empty((len(factors), rx.shape[0]))
+            for j, (a, b) in enumerate(factors):
+                np.multiply(a, b, out=product)
+                np.add.reduce(product, axis=1, out=rows[j])
+            rows /= s
+            curves[:, i] = np.add.reduce(rows, axis=1) / rows.shape[1]
+        curves.flags.writeable = False
+        if py is None:
+            self._fxx = self._fyy = self._fxy = curves[0]
+        else:
+            self._fxx, self._fyy, self._fxy = curves
 
     @property
     def fxx(self) -> np.ndarray:

@@ -285,14 +285,19 @@ def _detrend_config(cfg: ExperimentConfig, length: int) -> DetrendConfig:
     return DetrendConfig(grid, cfg.poly_order)
 
 
-def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict]:
-    """All requested measurements for one generated pair."""
+def _evaluate_pair(
+    x, y, cfg: ExperimentConfig, detrend: DetrendConfig | None, length: int
+) -> tuple[dict, dict]:
+    """All requested measurements for one generated pair.
+
+    ``detrend`` is the grid of :func:`_detrend_config` at ``length``, or None
+    when no detrended measurement is requested.
+    """
     fluct = None
-    if _FLUCTUATION_TOKENS & set(cfg.estimators):
-        grid_cfg = _detrend_config(cfg, length)
+    if detrend is not None:
         # one pass serves every detrended measurement; a pass that raises
         # fails each of them with its reason
-        fluct = functools.cache(lambda: JointFluctuations(x, y, grid_cfg))
+        fluct = functools.cache(lambda: JointFluctuations(x, y, detrend))
     readers = {
         "dfa_hx": lambda: fluct().hurst_x().exponent,
         "dfa_hy": lambda: fluct().hurst_y().exponent,
@@ -317,11 +322,17 @@ def _evaluate_pair(x, y, cfg: ExperimentConfig, length: int) -> tuple[dict, dict
     return values, failures
 
 
-def _replicate(cfg: ExperimentConfig, spec: McArfimaSpec, length: int, index: int) -> dict:
+def _replicate(
+    cfg: ExperimentConfig,
+    spec: McArfimaSpec,
+    detrend: DetrendConfig | None,
+    length: int,
+    index: int,
+) -> dict:
     """One replication from ``spec``, ``cfg.spec`` resolved at ``length``."""
     seed = split_seed(cfg.master_seed, index)
     x, y = generate_mc_arfima(spec, length, seed)
-    values, failures = _evaluate_pair(x, y, cfg, length)
+    values, failures = _evaluate_pair(x, y, cfg, detrend, length)
     return {"values": values, "failures": failures}
 
 
@@ -365,8 +376,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     with pool:
         for length in cfg.lengths:
             # one resolved spec per length: its memo transforms each weight
-            # sequence once for all replications, and is dropped with it
-            replicate = functools.partial(_replicate, cfg, cfg.spec.resolved(length), length)
+            # sequence once for all replications, and is dropped with it;
+            # likewise one scale grid per length
+            detrend = None
+            if _FLUCTUATION_TOKENS & set(cfg.estimators):
+                detrend = _detrend_config(cfg, length)
+            replicate = functools.partial(
+                _replicate, cfg, cfg.spec.resolved(length), detrend, length
+            )
             outcomes = (pool.map if jobs > 1 else map)(replicate, range(reps))
             by_cell.update(((length, r), out) for r, out in enumerate(outcomes))
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, is_integer, series_values
+from .core import ScalingFit, fit_loglog, is_constant, is_integer, series_values
 from .errors import (
     DegenerateInput,
     EstimationFailed,
@@ -47,7 +47,7 @@ def _fourier_frequencies(t: int) -> np.ndarray:
 def _dfts(*series) -> tuple[int, list[np.ndarray]]:
     """The one checked-DFT step that every spectral statistic reads.
 
-    Checks each series in turn (at least 16 observations, nonzero variance),
+    Checks each series in turn (at least 16 observations, not all equal),
     then that a pair has equal lengths, and returns T with the DFT of each
     de-meaned series at the positive Fourier frequencies.
     """
@@ -56,7 +56,7 @@ def _dfts(*series) -> tuple[int, list[np.ndarray]]:
         v = series_values(s)
         if v.size < 16:
             raise SeriesTooShort(f"need at least 16 observations, got {v.size}")
-        if v.std() == 0.0:
+        if is_constant(v):
             raise DegenerateInput("spectral statistics are undefined for a zero-variance series")
         values.append(v)
     t = values[0].size

@@ -1,16 +1,22 @@
-"""Independent oracles for the generator, kept out of the shipped package.
+"""Independent oracles, kept out of the shipped package.
 
 ``sample_ccf`` and ``partial_sum_scaling`` read a generated pair through
 plain lagged products and block sums, with no detrending or spectral step,
 so they check the generator's lag-0 correlation and partial-sum scaling
 without going through the estimators under test.
+
+``fluctuation_curves`` is the reference arithmetic of the joint fluctuation
+pass: boxes joined with ``np.concatenate``, the trend projection subtracted
+out of place, and each curve value taken as ``.mean(axis=1).mean()`` of the
+residual products. The pass must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from plcc.core import series_values
+from plcc.core import profile, series_values
+from plcc.detrended import _detrend_basis
 from plcc.errors import DegenerateInput, InvalidInput, InvalidParameter
 
 
@@ -90,3 +96,27 @@ def partial_sum_scaling(x, y=None, window_grid=()) -> tuple[np.ndarray, np.ndarr
         sy = sx if vy is None else vy[: m * t].reshape(m, int(t)).sum(axis=1)
         vals[i] = _block_sum_cov(sx, sy)
     return grid, vals
+
+
+def box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
+    """Residuals (2*(T//s), s) of the forward and backward boxes of ``pv``."""
+    t = pv.size
+    ns = t // s
+    fwd = pv[: ns * s].reshape(ns, s)
+    bwd = pv[t - ns * s :].reshape(ns, s)
+    boxes = np.concatenate([fwd, bwd], axis=0)
+    q = _detrend_basis(s, order)
+    return boxes - (boxes @ q) @ q.T
+
+
+def fluctuation_curves(x, y, scales, order: int) -> tuple[np.ndarray, ...]:
+    """``(fxx, fyy, fxy)`` on ``scales``; with ``y`` None all three are F2_x."""
+    px = profile(x)
+    py = px if y is None else profile(y)
+    curves = np.empty((3, len(scales)))
+    for i, s in enumerate(scales):
+        rx = box_residuals(px, int(s), order)
+        ry = box_residuals(py, int(s), order)
+        for j, (a, b) in enumerate(((rx, rx), (ry, ry), (rx, ry))):
+            curves[j, i] = (a * b).mean(axis=1).mean()
+    return tuple(curves)

@@ -321,6 +321,30 @@ def test_report_with_a_constant_side_keeps_per_channel_outcome(tmp_path, constan
     assert doc["channels"][live_name]["estimate"] == fit.exponent
 
 
+@pytest.mark.parametrize("value", [0.1, 0.3, 7.7])
+@pytest.mark.parametrize("constant", ["x", "y"])
+def test_report_on_a_constant_with_an_inexact_mean_matches_an_exact_one(
+    tmp_path, capsys, constant, value
+):
+    # the mean of np.full(n, 0.1) is inexact, so its std is about 1e-17;
+    # the report must still fail every channel of that side, as for 1.5
+    live = generate_arfima(0.3, 1024, 17)
+    runs = []
+    for level in (1.5, value):
+        const = np.full(1024, level)
+        x, y = (const, live) if constant == "x" else (live, const)
+        path = str(tmp_path / f"pair_{level}.csv")
+        write_series_csv(path, x, y)
+        out = str(tmp_path / f"rep_{level}.json")
+        code = main(["report", path, "--out", out])
+        doc = json.load(open(out))
+        del doc["manifest"]
+        err = capsys.readouterr().err.replace(out, "OUT")
+        runs.append((code, err, doc))
+    assert runs[0][0] == 4
+    assert runs[1] == runs[0]
+
+
 def test_estimation_failure_writes_partial_document(tmp_path, pair_csv, capsys, monkeypatch):
     from plcc.detrended import JointFluctuations
 

@@ -18,7 +18,7 @@ from plcc.arfima import (
     generate_arfima,
     generate_mc_arfima,
 )
-from plcc.core import ScalingFit, fit_loglog, profile, series_values
+from plcc.core import ScalingFit, fit_loglog, is_constant, profile, series_values
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import (
     DegenerateInput,
@@ -70,6 +70,24 @@ def test_profile_ends_near_zero():
 def test_profile_constant_series_is_all_zero():
     p = profile(np.full(64, 3.25))
     assert np.all(p == 0.0)
+
+
+def test_profile_of_a_constant_with_an_inexact_mean_is_only_near_zero():
+    # the sample mean of 0.1 repeated is not 0.1 to the last bit; is_constant,
+    # not the profile or the std, is what flags such a series
+    v = np.full(2048, 0.1)
+    p = profile(v)
+    assert np.abs(p).max() < 1e-12
+    assert is_constant(v)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 7.7, 1.5, -2.0, 0.0, 1e300])
+def test_is_constant_is_exact(value):
+    v = np.full(1000, value)
+    assert is_constant(v) and is_constant(v[:1])
+    w = v.copy()
+    w[-1] = np.nextafter(value, np.inf)
+    assert not is_constant(w)
 
 
 def test_profile_needs_two_observations():

@@ -20,6 +20,9 @@ from plcc.errors import (
     SeriesTooShort,
 )
 from plcc.montecarlo import split_seed
+from plcc.powerlaw import rho_decay
+
+from oracles import fluctuation_curves
 
 
 def _pair_spec(d1, d3, s13, **kw):
@@ -149,6 +152,52 @@ def test_fluctuations_match_polyfit_oracle():
         ref_xy = _fluct_oracle(x, y, scales, order)
         assert np.allclose(got_xx, ref_xx, rtol=1e-9, atol=1e-12)
         assert np.allclose(got_xy, ref_xy, rtol=1e-9, atol=1e-12)
+
+
+@st.composite
+def _pass_cases(draw):
+    """A series or pair of length 70-4096, an order 0-3 and a valid grid.
+
+    About half of the lengths are a multiple of one of the scales, at which
+    the forward and backward boxes coincide.
+    """
+    order = draw(st.integers(0, 3))
+    lo = min_scale_for_order(order)
+    top = draw(st.integers(lo + 4, 4096 // 5))
+    scales = sorted(draw(st.sets(st.integers(lo, top), min_size=5, max_size=20)))
+    shortest = 5 * scales[-1]
+    fits = [s for s in scales if -(-shortest // s) * s <= 4096]
+    if fits and draw(st.booleans()):
+        s = draw(st.sampled_from(fits))
+        t = s * draw(st.integers(-(-shortest // s), 4096 // s))
+    else:
+        t = draw(st.integers(shortest, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = draw(st.sampled_from([0.0, 0.1, 1e6]))
+    x = level + draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(t).cumsum()
+    y = None
+    if draw(st.booleans()):
+        y = 0.5 * x + rng.standard_normal(t)
+    return x, y, scales, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_pass_cases())
+def test_pass_matches_reference_arithmetic_bit_for_bit(case):
+    x, y, scales, order = case
+    jf = JointFluctuations(x, y, DetrendConfig(scales, order))
+    want = fluctuation_curves(x, y, scales, order)
+    for got, ref in zip((jf.fxx, jf.fyy, jf.fxy), want):
+        assert np.array_equal(got, ref)
+
+
+def test_pass_matches_reference_arithmetic_bit_for_bit_at_2_16():
+    t = 2**16
+    x, y = generate_mc_arfima(_pair_spec(0.4, 0.2, 0.5), t, 16)
+    grid = default_scale_grid(t)
+    jf = JointFluctuations(x, y, DetrendConfig(grid))
+    for got, ref in zip((jf.fxx, jf.fyy, jf.fxy), fluctuation_curves(x, y, grid, 1)):
+        assert np.array_equal(got, ref)
 
 
 def test_box_layout_uses_both_ends():
@@ -393,6 +442,30 @@ def test_curves_are_read_only(xy_pair):
         with pytest.raises(ValueError):
             curve[:] *= 4
     assert np.array_equal(jf.rho(), rho)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 7.7, 1.5])
+def test_constant_side_is_degenerate_whatever_its_mean(xy_pair, value):
+    # the mean of np.full(n, 0.1) is inexact, so its std is about 1e-17, not 0
+    x, y, cfg = xy_pair
+    const = np.full_like(x, value)
+    readers = [
+        lambda jf: jf.fxy,
+        JointFluctuations.hxy,
+        JointFluctuations.rho,
+        JointFluctuations.beta,
+        rho_decay,
+    ]
+    for jf, own in (
+        (JointFluctuations(const, y, cfg), [lambda jf: jf.fxx, JointFluctuations.hurst_x]),
+        (JointFluctuations(x, const, cfg), [lambda jf: jf.fyy, JointFluctuations.hurst_y]),
+    ):
+        for read in own + readers:
+            with pytest.raises(DegenerateInput, match="zero-variance series"):
+                read(jf)
+    with pytest.raises(DegenerateInput, match="zero-variance series"):
+        JointFluctuations(const, None, cfg).hurst_x()
+    JointFluctuations(const, y, cfg).hurst_y()
 
 
 def test_degenerate_inputs_raise(xy_pair):

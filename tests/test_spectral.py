@@ -261,6 +261,21 @@ _ERROR_CONTRACT = {
 }
 
 
+@pytest.mark.parametrize("value", [0.1, 0.3, 7.7, 1.5])
+def test_constant_side_is_flat_whatever_its_mean(value):
+    # the mean of np.full(n, 0.1) is inexact, so its std is about 1e-17, not 0
+    live = np.random.default_rng(2024).standard_normal(256)
+    const = np.full(256, value)
+    for args, calls in (
+        ({"x": const, "y": live}, _ENTRY_POINTS),
+        ({"x": live, "y": const}, _ENTRY_POINTS[1:3] + _ENTRY_POINTS[4:]),
+    ):
+        for call in calls:
+            with pytest.raises(PlccError) as info:
+                call({**args, "bandwidth": 11, "n_freqs": None})
+            assert (type(info.value), str(info.value)) == FLAT
+
+
 def test_error_contract_table():
     rng = np.random.default_rng(2024)
     base = {
