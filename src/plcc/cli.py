@@ -62,7 +62,7 @@ from .montecarlo import (
     standard_regimes,
 )
 from .powerlaw import coherency_report, h_rho_frequency, rho_decay
-from .spectral import coherency, default_n_freqs, resolve_n_freqs, validate_bandwidth
+from .spectral import coherency, resolve_n_freqs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -166,14 +166,6 @@ def _resolve_grid(params: dict, length: int) -> DetrendConfig:
     return cfg
 
 
-def _resolve_n_freqs_param(params: dict, length: int) -> int:
-    """The regression band size; an explicit value must lie in [8, T/4]."""
-    if params.get("n_freqs") is None:
-        params["n_freqs"] = default_n_freqs(length)
-        return params["n_freqs"]
-    return resolve_n_freqs(params["n_freqs"], length)
-
-
 # =========================================================================
 # generate
 # =========================================================================
@@ -243,11 +235,17 @@ def _empty_doc(sub: str) -> dict:
     }
 
 
+def _fluctuations(x, y, cfg: DetrendConfig, doc) -> JointFluctuations:
+    """The fluctuation pass of a detrended analysis; records its scales in ``doc``."""
+    jf = JointFluctuations(x, y, cfg)
+    doc["scales"] = [int(s) for s in jf.scales]
+    return jf
+
+
 def _analyze_scaling(x, y, params, doc) -> str | None:
     """dfa on a single series, dcca on a pair: one curve and its fit."""
-    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
+    jf = _fluctuations(x, y, _resolve_grid(params, x.size), doc)
     values = jf.fxx if y is None else jf.fxy
-    doc["scales"] = [int(s) for s in jf.scales]
     doc["values"] = [float(v) for v in values]
     try:
         fit = jf.hurst_x() if y is None else jf.hxy()
@@ -260,10 +258,8 @@ def _analyze_scaling(x, y, params, doc) -> str | None:
 
 
 def _analyze_rho(x, y, params, doc) -> str | None:
-    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
-    values = [float(r) for r in jf.rho()]
-    doc["scales"] = [int(s) for s in jf.scales]
-    doc["values"] = values
+    jf = _fluctuations(x, y, _resolve_grid(params, x.size), doc)
+    values = doc["values"] = [float(r) for r in jf.rho()]
     doc["estimate"] = float(np.median(values))
     doc["diagnostics"] = {"statistic": "median correlation across scales"}
     doc["plot"] = _plot_block(doc["scales"], values, None, None)
@@ -271,13 +267,11 @@ def _analyze_rho(x, y, params, doc) -> str | None:
 
 
 def _analyze_beta(x, y, params, doc) -> str | None:
-    jf = JointFluctuations(x, y, _resolve_grid(params, x.size))
-    values = [float(b) for b in jf.beta()]
-    scales = [int(s) for s in jf.scales]
+    jf = _fluctuations(x, y, _resolve_grid(params, x.size), doc)
+    values = doc["values"] = [float(b) for b in jf.beta()]
+    scales = doc["scales"]
     k = len(values)
     mid = slice(k // 4, k - k // 4)
-    doc["scales"] = scales
-    doc["values"] = values
     doc["estimate"] = float(np.median(values[mid]))
     doc["diagnostics"] = {
         "statistic": "median regression coefficient over the middle half of scales",
@@ -297,7 +291,7 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
     doc["scales"] = [float(f) for f in freqs]
     doc["values"] = [float(v) for v in values]
     doc["diagnostics"] = {
-        "bandwidth": validate_bandwidth(params["bandwidth"]),
+        "bandwidth": params["bandwidth"],
         "abscissa": "fourier frequency",
     }
     doc["plot"] = _plot_block(freqs, values, None, None)
@@ -306,10 +300,9 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
 
 def _analyze_hrho(x, y, params, doc) -> str | None:
     cfg = _resolve_grid(params, x.size)
-    n = _resolve_n_freqs_param(params, x.size)
-    jf = JointFluctuations(x, y, cfg)
+    n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
+    jf = _fluctuations(x, y, cfg, doc)
     failures: dict = {}
-    doc["scales"] = [int(s) for s in jf.scales]
     doc["values"] = [float(r) for r in jf.rho()]
     time_fit = freq_fit = None
     try:
@@ -338,7 +331,7 @@ def _analyze_hrho(x, y, params, doc) -> str | None:
 
 def _analyze_report(x, y, params, doc) -> str | None:
     cfg = _resolve_grid(params, x.size)
-    n = _resolve_n_freqs_param(params, x.size)
+    n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
     rep = coherency_report(
         x, y, detrend=cfg, n_freqs=n, bandwidth=params["bandwidth"], tolerance=params["tolerance"]
     )
@@ -581,7 +574,9 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict, di
     """Execute a subcommand and record it; returns the exit code, outputs and their digests.
 
     The manifest is embedded in every result document, and every output
-    gets a sidecar that lists the digests of all outputs of the run.
+    gets a sidecar that lists the digests of all outputs of the run. An
+    output or sidecar that resolves to an input file is refused before
+    anything is written.
     """
     for name, (kind, holds) in _PARAMETER_TYPES.items():
         if name in params and not holds(params[name]):
@@ -589,6 +584,10 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict, di
                 f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
             )
     code, seeds, outputs = _EXEC[sub](params, inputs, jobs)
+    input_files = {os.path.realpath(p) for p in inputs}
+    for path in (*outputs, *(f"{p}.manifest.json" for p in outputs)):
+        if os.path.realpath(path) in input_files:
+            raise InvalidParameter(f"{path} would overwrite an input of the run")
     manifest = build_manifest(sub, params, inputs, seeds)
     for path, output in outputs.items():
         if isinstance(output, dict):

@@ -9,6 +9,7 @@ contains the fully resolved parameters needed to replay the invocation.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -229,15 +230,22 @@ def config_str(cfg: dict, key: str, default=None, choices=None):
 
 _SIGMA_RE = re.compile(r"^sigma\.([1-4])([1-4])$")
 
+# every spec.* key: the McArfimaSpec field it sets, its reader and its default
 _SPEC_KEYS = {
-    "spec.alpha": ("alpha", 1.0),
-    "spec.beta": ("beta", 0.0),
-    "spec.gamma": ("gamma", 1.0),
-    "spec.delta": ("delta", 0.0),
-    "spec.d1": ("d1", 0.0),
-    "spec.d2": ("d2", 0.0),
-    "spec.d3": ("d3", 0.0),
-    "spec.d4": ("d4", 0.0),
+    "spec.alpha": ("alpha", config_float, 1.0),
+    "spec.beta": ("beta", config_float, 0.0),
+    "spec.gamma": ("gamma", config_float, 1.0),
+    "spec.delta": ("delta", config_float, 0.0),
+    "spec.d1": ("d1", config_float, 0.0),
+    "spec.d2": ("d2", config_float, 0.0),
+    "spec.d3": ("d3", config_float, 0.0),
+    "spec.d4": ("d4", config_float, 0.0),
+    "spec.dist": (
+        "innovation_dist", functools.partial(config_str, choices={GAUSSIAN, STUDENT_T}), GAUSSIAN
+    ),
+    "spec.dof": ("dof", config_float, None),
+    "spec.truncation": ("truncation", config_int, None),
+    "spec.burn_in": ("burn_in", config_int, None),
 }
 
 
@@ -250,9 +258,7 @@ def spec_from_config(cfg: dict) -> McArfimaSpec:
     also set ``sigma.JI``. Validation errors carry the parameter name and
     its bound.
     """
-    kwargs = {}
-    for key, (field, default) in _SPEC_KEYS.items():
-        kwargs[field] = config_float(cfg, key, default)
+    kwargs = {field: read(cfg, key, default) for key, (field, read, default) in _SPEC_KEYS.items()}
     sigma = np.eye(4)
     for key, value in cfg.items():
         m = _SIGMA_RE.match(key)
@@ -267,23 +273,12 @@ def spec_from_config(cfg: dict) -> McArfimaSpec:
             raise InvalidInput(f"config key {key}: {value!r} is not a number") from None
         sigma[i - 1, j - 1] = v
         sigma[j - 1, i - 1] = v
-    dist = config_str(
-        cfg, "spec.dist", GAUSSIAN, choices={GAUSSIAN, STUDENT_T}
-    )
-    return McArfimaSpec(
-        sigma=sigma,
-        innovation_dist=dist,
-        dof=config_float(cfg, "spec.dof"),
-        truncation=config_int(cfg, "spec.truncation"),
-        burn_in=config_int(cfg, "spec.burn_in"),
-        **kwargs,
-    )
+    return McArfimaSpec(sigma=sigma, **kwargs)
 
 
 def spec_config_keys(cfg: dict) -> set[str]:
     """The subset of keys in ``cfg`` consumed by :func:`spec_from_config`."""
-    fixed = set(_SPEC_KEYS) | {"spec.dist", "spec.dof", "spec.truncation", "spec.burn_in"}
-    return {k for k in cfg if k in fixed or _SIGMA_RE.match(k)}
+    return {k for k in cfg if k in _SPEC_KEYS or _SIGMA_RE.match(k)}
 
 
 # =========================================================================
@@ -310,8 +305,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -13,6 +13,7 @@ artifacts and are flagged, not interpreted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,26 +154,22 @@ def coherency_report(
             failures[name] = str(exc)
             return None
 
-    if detrend is None:
-        detrend = attempt("h_x", lambda: DetrendConfig(default_scale_grid(vx.size)))
-    jf = attempt("h_x", JointFluctuations, vx, vy, detrend) if detrend is not None else None
-
-    def read(name, reader):
-        # without a pass every detrended channel fails for the reason h_x did
-        if jf is None:
-            failures.setdefault(name, failures["h_x"])
-            return None
-        return attempt(name, reader, jf)
-
-    h_x = read("h_x", JointFluctuations.hurst_x)
-    h_y = read("h_y", JointFluctuations.hurst_y)
-    h_xy = read("h_xy", JointFluctuations.hxy)
+    # one pass serves every detrended channel; a pass that cannot be built
+    # fails each of them with its reason
+    fluct = functools.cache(
+        lambda: JointFluctuations(
+            vx, vy, DetrendConfig(default_scale_grid(vx.size)) if detrend is None else detrend
+        )
+    )
+    h_x = attempt("h_x", lambda: fluct().hurst_x())
+    h_y = attempt("h_y", lambda: fluct().hurst_y())
+    h_xy = attempt("h_xy", lambda: fluct().hxy())
     h_rho_freq = attempt("h_rho_freq", h_rho_frequency, vx, vy, n_freqs, bandwidth)
-    rho = read("h_rho_time", JointFluctuations.rho)
+    rho = attempt("h_rho_time", lambda: fluct().rho())
     rho_curve = h_rho_time_fit = None
     if rho is not None:
-        rho_curve = [(int(s), float(r)) for s, r in zip(jf.scales, rho)]
-        h_rho_time_fit = attempt("h_rho_time", rho_decay, jf)
+        rho_curve = [(int(s), float(r)) for s, r in zip(fluct().scales, rho)]
+        h_rho_time_fit = attempt("h_rho_time", rho_decay, fluct())
 
     h_rho_diff = None
     regime = None

@@ -29,7 +29,6 @@ __all__ = [
     "coherency",
     "estimate_h_logperiodogram",
     "estimate_hxy_logcross",
-    "default_n_freqs",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -158,16 +157,12 @@ def coherency(x, y, bandwidth: int = 11) -> tuple[np.ndarray, np.ndarray]:
 # =========================================================================
 
 
-def default_n_freqs(length: int) -> int:
-    """Default regression band: ``floor(sqrt(T))`` lowest frequencies."""
-    return max(8, math.isqrt(int(length)))
-
-
 def resolve_n_freqs(n_freqs, length: int) -> int:
-    """Regression band size: ``n_freqs`` checked against [8, T/4], or the default."""
+    """Regression band size, checked against [8, T/4]: ``n_freqs``, or by
+    default the ``floor(sqrt(T))`` lowest frequencies, at least 8."""
     if n_freqs is not None and not is_integer(n_freqs):
         raise InvalidInput(f"n_freqs must be an integer, got {n_freqs!r}")
-    n = default_n_freqs(length) if n_freqs is None else int(n_freqs)
+    n = max(8, math.isqrt(int(length))) if n_freqs is None else int(n_freqs)
     if n < 8 or n > length // 4:
         raise InvalidInput(
             f"n_freqs must lie in [8, T/4] = [8, {length // 4}], got {n}"

@@ -364,6 +364,46 @@ def test_estimation_failure_writes_partial_document(tmp_path, pair_csv, capsys, 
     assert sidecar["outputs"] == {out: sha256_file(out)}
 
 
+def _raises(message):
+    def fail(*args, **kwargs):
+        raise EstimationFailed(message)
+
+    return fail
+
+
+def test_hrho_records_both_channel_failures_in_order(tmp_path, pair_csv, capsys, monkeypatch):
+    monkeypatch.setattr("plcc.cli.rho_decay", _raises("no time decay"))
+    monkeypatch.setattr("plcc.cli.h_rho_frequency", _raises("no frequency decay"))
+    out = str(tmp_path / "h.json")
+    assert main(["hrho", pair_csv, "--out", out]) == 4
+    assert "partial result written" in capsys.readouterr().err
+    doc = json.load(open(out))
+    assert doc["error"] == "time: no time decay; freq: no frequency decay"
+    assert doc["diagnostics"] == {
+        "failures": {"time": "no time decay", "freq": "no frequency decay"}
+    }
+    assert doc["channels"] == {"time": None, "freq": None}
+    assert doc["estimate"] is doc["stderr"] is doc["r2"] is doc["plot"] is None
+    assert doc["values"]  # the rho curve itself was still recorded
+
+
+def test_hrho_without_the_frequency_channel_keeps_the_time_channel(
+    tmp_path, pair_csv, monkeypatch
+):
+    whole = str(tmp_path / "whole.json")
+    assert main(["hrho", pair_csv, "--out", whole]) == 0
+    monkeypatch.setattr("plcc.cli.h_rho_frequency", _raises("no frequency decay"))
+    part = str(tmp_path / "part.json")
+    assert main(["hrho", pair_csv, "--out", part]) == 4
+    a, b = json.load(open(whole)), json.load(open(part))
+    for key in ("estimate", "stderr", "r2", "plot", "scales", "values"):
+        assert b[key] == a[key], key
+    assert a["estimate"] == a["channels"]["time"]["estimate"]
+    assert b["channels"] == {"time": a["channels"]["time"], "freq": None}
+    assert b["diagnostics"] == {**a["diagnostics"], "failures": {"freq": "no frequency decay"}}
+    assert b["error"] == "freq: no frequency decay"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -653,6 +693,40 @@ def test_replay_keeps_a_modified_original(tmp_path, capsys, monkeypatch):
     os.remove("r.json")
     assert main(["replay", "r.json.manifest.json"]) == 0
     assert _contents(["r.json", "r.json.manifest.json"]) == original
+
+
+@pytest.mark.parametrize(
+    "argv, clobbered",
+    [
+        (["dcca", "p.csv", "--out", "p.csv"], "p.csv"),
+        (["dcca", "p.csv", "--out", "./sub/../p.csv"], "./sub/../p.csv"),
+        (["dcca", "link.csv", "--out", "p.csv"], "p.csv"),
+        # the sidecar of r.json is the input
+        (["dcca", "r.json.manifest.json", "--out", "r.json"], "r.json.manifest.json"),
+        (["generate", "g.cfg", "--out", "g.cfg"], "g.cfg"),
+    ],
+    ids=["same-path", "dotted-path", "symlink", "sidecar", "generate-config"],
+)
+def test_run_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch, argv, clobbered):
+    # a run that wrote over its input used to exit 0, and the generate
+    # record of p.csv then no longer replayed
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "p.csv"]) == 0
+    shutil.copy("p.csv", "r.json.manifest.json")
+    os.symlink("p.csv", "link.csv")
+    os.mkdir("sub")
+
+    def every_file():
+        return _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+
+    before = every_file()
+    capsys.readouterr()
+    assert main(argv) == 2
+    message = f"plcc: error: {clobbered} would overwrite an input of the run\n"
+    assert capsys.readouterr().err == message
+    assert every_file() == before
+    assert main(["replay", "p.csv.manifest.json"]) == 0
 
 
 def test_replay_compares_what_its_own_run_wrote(tmp_path, capsys, monkeypatch):

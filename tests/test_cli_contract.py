@@ -1,18 +1,26 @@
-"""Property test of the command line contract, run in process through ``main``.
+"""Property tests of the command line contract, run in process through ``main``.
 
-Each example writes an ``mc`` config into a fresh temporary directory and
-runs it. Labels are drawn from path-like strings on purpose, and list
-entries may repeat, since these are the inputs a hand-picked case misses.
+Each example works in a fresh temporary directory. The ``mc`` test writes a
+config and runs it; labels are drawn from path-like strings on purpose, and
+list entries may repeat, since these are the inputs a hand-picked case
+misses. The analysis test runs one analysis subcommand on a 512-row file
+with options drawn from the subcommand's own parser, ``--out`` naming the
+input itself among them, and replays what the run wrote.
 """
 
+import argparse
 import json
 import os
 import tempfile
 
-from hypothesis import example, given, settings
+import numpy as np
+
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from plcc.cli import main
+from plcc.arfima import generate_mc_arfima
+from plcc.cli import build_parser, main
+from plcc.fileio import spec_from_config, write_series_csv
 
 LABELS = ["summary", "../x", "a/b", ".h", "", "smoke", "run_1"]
 
@@ -82,3 +90,110 @@ def test_mc_exit_code_and_outputs_follow_the_contract(label, lengths, estimators
             cells = json.load(fh)["cells"]
         keys = [(c["measurement"], c["length"]) for c in cells]
         assert len(set(keys)) == len(keys)
+
+
+# =========================================================================
+# analysis subcommands
+# =========================================================================
+
+ANALYSES = ["dfa", "dcca", "rho", "beta", "coherency", "hrho", "report"]
+
+# Values for every option an analysis parser takes, valid ones and ones each
+# subcommand must refuse with exit 2. ``--out`` names the output by role:
+# "input" and "./input" are the input file itself.
+OPTION_VALUES = {
+    "--order": ["0", "1", "3", "-1"],
+    "--scales": ["12:100:20", "16:60:5", "10:300:8", "8:64:3", "12:100"],
+    "--nfreqs": ["4", "8", "22", "128", "200"],
+    "--bandwidth": ["3", "11", "4", "1"],
+    "--tol": ["0.05", "0.5", "0", "-1", "nan"],
+    "--min-rows": ["16", "256", "1024"],
+    "--out": ["res.json", "input", "./input"],
+}
+
+
+def _analysis_options() -> dict:
+    """The long options of each analysis subcommand, read from its parser."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: sorted(
+            opt for action in subparsers.choices[name]._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"
+        )
+        for name in ANALYSES
+    }
+
+
+OPTIONS = _analysis_options()
+
+# The inputs by name, as (x, y); dfa reads y alone. A constant side fails the
+# report channels that read it (exit 4), and the other subcommands refuse it.
+_X, _Y = generate_mc_arfima(
+    spec_from_config({"spec.d1": "0.3", "spec.d3": "0.3", "sigma.13": "0.5"}), 512, 7
+)
+INPUTS = {
+    "correlated": (_X, _Y),
+    "independent": generate_mc_arfima(
+        spec_from_config({"spec.d1": "0.3", "spec.d3": "0.1"}), 512, 8
+    ),
+    "constant": (_X, np.full(512, 1.5)),
+}
+
+
+def test_every_analysis_option_has_values_to_draw():
+    # an option added to a parser must be drawn by the property test below
+    assert {opt for opts in OPTIONS.values() for opt in opts} == set(OPTION_VALUES)
+
+
+@st.composite
+def _analysis_runs(draw):
+    sub = draw(st.sampled_from(ANALYSES))
+    data = draw(st.sampled_from(sorted(INPUTS)))
+    flags = draw(
+        st.fixed_dictionaries(
+            {}, optional={opt: st.sampled_from(OPTION_VALUES[opt]) for opt in OPTIONS[sub]}
+        )
+    )
+    return sub, data, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_analysis_runs())
+# an output that names the input used to overwrite it and exit 0
+@example(run=("dcca", "correlated", {"--out": "input"}))
+@example(run=("dfa", "correlated", {"--out": "./input"}))
+@example(run=("report", "constant", {"--out": "input"}))
+def test_analysis_exit_code_outputs_and_replay_follow_the_contract(run):
+    sub, data, flags = run
+    x, y = INPUTS[data]
+    with tempfile.TemporaryDirectory() as root:
+        work = os.path.join(root, "work")
+        os.mkdir(work)
+        series = os.path.join(work, "series.csv")
+        write_series_csv(series, *((y,) if sub == "dfa" else (x, y)))
+        out = os.path.join(work, f"series.{sub}.json")
+        argv = [sub, series]
+        for opt, value in flags.items():
+            if opt == "--out":
+                dotted = os.path.join(work, ".", "series.csv")
+                value = out = {"input": series, "./input": dotted}.get(
+                    value, os.path.join(work, value)
+                )
+            argv += [opt, value]
+        before = _tree(root)
+        code = main(argv)
+        assert code in (0, 2, 4)
+        event(f"exit {code}")
+        after = _tree(root)
+        if code == 2:
+            assert after == before
+            return
+        # the input is kept, and the run added its document and one sidecar
+        document = os.path.relpath(out, root)
+        assert {p: b for p, b in after.items() if p in before} == before
+        assert set(after) - set(before) == {document, f"{document}.manifest.json"}
+        # the sidecar replays with the run's exit code and changes no byte
+        assert main(["replay", f"{out}.manifest.json"]) == code
+        assert _tree(root) == after

@@ -10,7 +10,9 @@ No module imports a name it never uses, unless it re-exports it.
 
 The package's public names are the union of the layer modules' ``__all__``
 lists. Each name appears once, and each module lists only names it defines,
-so no star import can shadow one module's name with another's.
+so no star import can shadow one module's name with another's. The list of
+public names is written out below, so that adding or removing one is an
+edit to this file.
 
 Importing the command line leaves the thread pool out: only a Monte Carlo
 run with more than one job needs it.
@@ -108,6 +110,25 @@ def test_public_names_are_unique_and_defined_where_listed():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     found = [hit for path in modules for hit in _foreign_exports(path)]
     assert not found, "names exported but not defined by the listing module:\n" + "\n".join(found)
+
+
+PUBLIC_NAMES = [
+    "CellStats", "CoherencyReport", "DegenerateInput", "DetrendConfig", "ESTIMATORS",
+    "EstimationFailed", "ExperimentConfig", "ExperimentResult", "GAUSSIAN", "InvalidInput",
+    "InvalidParameter", "JointFluctuations", "McArfimaSpec", "NonPositiveOrdinate", "PlccError",
+    "REGIME_ANTI_COINTEGRATION", "REGIME_INFEASIBLE", "REGIME_STANDARD", "STUDENT_T",
+    "ScalingFit", "SeriesTooShort", "TruncationWarning", "__version__", "arfima_weights",
+    "classify", "coherency", "coherency_report", "correlated_innovations", "cross_periodogram",
+    "default_scale_grid", "estimate_h_logperiodogram", "estimate_hxy_logcross",
+    "feasibility_sweep", "filter_mc_arfima", "fit_loglog", "generate_arfima",
+    "generate_mc_arfima", "h_rho_frequency", "min_scale_for_order", "periodogram", "profile",
+    "rho_decay", "run_experiment", "series_values", "split_seed", "standard_regimes",
+    "theoretical_exponents",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    assert sorted(plcc.__all__) == PUBLIC_NAMES
 
 
 def _int_comparisons(path: pathlib.Path) -> list[str]:

@@ -215,6 +215,28 @@ def _channel(report, name):
     return report.failures[name] if fit is None else fit
 
 
+@pytest.mark.parametrize(
+    "length, detrend, reason",
+    [
+        # the pass is built, and every curve refuses a grid too wide for it
+        (1024, DetrendConfig(default_scale_grid(4096)), "largest scale 819 exceeds T/5 = 204"),
+        # no default grid fits, so no pass is built; the band still does
+        (64, None, "length 64 yields fewer than 5 distinct scales"),
+        # neither fits
+        (24, None, "length 24 leaves no admissible scales for order 1"),
+    ],
+)
+def test_report_fails_every_detrended_channel_with_the_pass_reason(length, detrend, reason):
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal(length), rng.standard_normal(length)
+    rep = coherency_report(x, y, detrend=detrend)
+    detrended = [name for name in rep.failures if name != "h_rho_freq"]
+    assert detrended == ["h_x", "h_y", "h_xy", "h_rho_time"]
+    assert all(rep.failures[name] == reason for name in detrended)
+    assert rep.rho_curve is None and rep.rho_at_max_scale is None and rep.regime is None
+    assert _channel(rep, "h_rho_freq") == _outcome(h_rho_frequency, x, y)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

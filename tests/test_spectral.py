@@ -19,10 +19,10 @@ from plcc.powerlaw import h_rho_frequency
 from plcc.spectral import (
     coherency,
     cross_periodogram,
-    default_n_freqs,
     estimate_h_logperiodogram,
     estimate_hxy_logcross,
     periodogram,
+    resolve_n_freqs,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -353,8 +353,8 @@ def test_synthetic_power_law_recovers_exponent_exactly():
 
 
 def test_default_n_freqs_and_bounds():
-    assert default_n_freqs(16384) == 128
-    assert default_n_freqs(64) == 8
+    assert resolve_n_freqs(None, 16384) == 128
+    assert resolve_n_freqs(None, 64) == 8
     x = np.random.default_rng(0).standard_normal(256)
     with pytest.raises(InvalidInput):
         estimate_h_logperiodogram(x, n_freqs=7)
