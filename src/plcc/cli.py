@@ -11,9 +11,11 @@ executes the subcommand, embeds the manifest (the parameters as the run
 resolved them, the input digests and the seeds) in every result document and
 writes one sidecar ``<output>.manifest.json`` per output, listing the digests
 of all outputs. ``replay`` first checks every recorded output still on disk
-against its digest and stops if one was modified, so that it never
-overwrites one; it then sends the recorded parameters and inputs down the
-same path and compares the digests of what that run wrote with the record.
+against its digest and stops if one was modified; it then sends the
+recorded parameters and inputs down the same path into a scratch directory
+and compares the digests of what that run wrote with the record. Only a
+matching replay writes outside the scratch directory, and only to restore a
+recorded output or sidecar that is missing.
 
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
@@ -25,7 +27,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -468,7 +472,14 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
             # a record from before generator 2 has no version
             generator=params.get("generator", 1),
         )
-        params["configs"] = [c.echo() for c in configs]
+        # a fresh run records the suite's configs; a replayed record must
+        # hold the ones that its counts, seed and generator rebuild
+        echoes = [c.echo() for c in configs]
+        if params.setdefault("configs", echoes) != echoes:
+            raise InvalidParameter(
+                "manifest parameter 'configs' differs from the suite that its "
+                "length, replications, master_seed and generator rebuild"
+            )
     else:
         echo = _record_fields(ExperimentConfig, params["config_echo"], "config_echo")
         spec = _record_fields(McArfimaSpec, echo["spec"], "config_echo.spec")
@@ -546,7 +557,7 @@ def _cmd_mc(args) -> int:
             **_mc_fields(cfg, _EXPERIMENT_FIELDS),
         )
         params.update(mode="single", config_echo=experiment.echo())
-    code, docs, _ = _run("mc", params, inputs, args.jobs)
+    code, docs = _run("mc", params, inputs, args.jobs)[:2]
     summary = docs[os.path.join(args.out_dir, "summary.json")]
     if "max_gap" in summary:
         print(
@@ -570,13 +581,19 @@ def _cmd_mc(args) -> int:
 _EXEC = {"generate": _exec_generate, "mc": _exec_mc, **dict.fromkeys(_ANALYZE_FN, _exec_analyze)}
 
 
-def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict, dict]:
-    """Execute a subcommand and record it; returns the exit code, outputs and their digests.
+def _run(
+    sub: str, params: dict, inputs: dict, jobs: int, scratch: str | None = None
+) -> tuple[int, dict, dict, dict]:
+    """Execute a subcommand and record it.
 
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run. An
-    output or sidecar that resolves to an input file is refused before
-    anything is written.
+    output or sidecar that resolves to an input file, or is a hard link to
+    one, is refused before anything is written. With ``scratch`` (a replay)
+    each output and its sidecar are written under a name of their own in
+    that directory instead of at the recorded path. Returns the exit code,
+    the outputs, where each was written and its digest, all by recorded
+    path.
     """
     for name, (kind, holds) in _PARAMETER_TYPES.items():
         if name in params and not holds(params[name]):
@@ -585,20 +602,24 @@ def _run(sub: str, params: dict, inputs: dict, jobs: int) -> tuple[int, dict, di
             )
     code, seeds, outputs = _EXEC[sub](params, inputs, jobs)
     input_files = {os.path.realpath(p) for p in inputs}
+    input_stats = [os.stat(p) for p in inputs if os.path.exists(p)]
     for path in (*outputs, *(f"{p}.manifest.json" for p in outputs)):
-        if os.path.realpath(path) in input_files:
+        if os.path.realpath(path) in input_files or os.path.exists(path) and any(
+            os.path.samestat(os.stat(path), s) for s in input_stats
+        ):
             raise InvalidParameter(f"{path} would overwrite an input of the run")
+    written = {p: os.path.join(scratch, str(i)) if scratch else p for i, p in enumerate(outputs)}
     manifest = build_manifest(sub, params, inputs, seeds)
     for path, output in outputs.items():
         if isinstance(output, dict):
             output["manifest"] = manifest
-            write_json(path, output)
+            write_json(written[path], output)
         else:
-            write_series_csv(path, *output)
-    sidecar = {**manifest, "outputs": {p: sha256_file(p) for p in outputs}}
-    for path in outputs:
+            write_series_csv(written[path], *output)
+    sidecar = {**manifest, "outputs": {p: sha256_file(written[p]) for p in outputs}}
+    for path in written.values():
         write_json(f"{path}.manifest.json", sidecar)
-    return code, outputs, sidecar["outputs"]
+    return code, outputs, written, sidecar["outputs"]
 
 
 def _cmd_replay(args) -> int:
@@ -607,8 +628,8 @@ def _cmd_replay(args) -> int:
     if sub not in _EXEC:
         raise InvalidParameter(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
     recorded = man.get("outputs", {})
-    # the run rewrites the recorded outputs in place, so an original that no
-    # longer matches the record is reported and kept, not overwritten
+    # an original that no longer matches the record is reported before
+    # anything runs
     modified = [
         path for path, digest in sorted(recorded.items())
         if os.path.exists(path) and sha256_file(path) != digest
@@ -616,24 +637,31 @@ def _cmd_replay(args) -> int:
     if modified:
         _fail("original modified since the manifest was written: " + ", ".join(modified))
         return 1
-    # The recorded input digests ride along so the rewritten sidecars match
-    # the original ones byte for byte; an analysis also refuses to replay
-    # over an input file whose digest changed.
-    try:
-        code, _, digests = _run(sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs)
-    except KeyError as exc:
-        raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
-    except InvalidParameter as exc:
-        # a fresh run refuses a bad parameter before it writes a manifest,
-        # so in a replay (--jobs aside) the record holds it
-        raise InvalidInput(f"{args.manifest}: {exc}") from None
-    mismatched = sorted(p for p in {*recorded, *digests} if recorded.get(p) != digests.get(p))
-    if mismatched:
-        _fail(
-            "replay outputs differ from the manifest record: "
-            + ", ".join(mismatched)
-        )
-        return 1
+    # The run writes into a scratch directory, so that no recorded path,
+    # edited or not, is written before the digests match. The recorded input
+    # digests ride along so the regenerated sidecars match the original ones
+    # byte for byte; an analysis also refuses to replay over an input file
+    # whose digest changed.
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            code, _, written, digests = _run(
+                sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs, scratch
+            )
+        except KeyError as exc:
+            raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
+        except InvalidParameter as exc:
+            # a fresh run refuses a bad parameter before it writes a manifest,
+            # so in a replay (--jobs aside) the record holds it
+            raise InvalidInput(f"{args.manifest}: {exc}") from None
+        mismatched = sorted(p for p in {*recorded, *digests} if recorded.get(p) != digests.get(p))
+        if mismatched:
+            _fail("replay outputs differ from the manifest record: " + ", ".join(mismatched))
+            return 1
+        # the regeneration matches: a missing original or sidecar gets its bytes
+        for path, temp in written.items():
+            for suffix in ("", ".manifest.json"):
+                if not os.path.exists(path + suffix):
+                    shutil.copyfile(temp + suffix, path + suffix)
     if code == EXIT_OK:
         print(f"replay ok: {len(recorded)} recorded output(s) byte-identical")
     return code
@@ -729,11 +757,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
+        # an estimation failure never escapes a handler: an analysis writes
+        # its partial document and returns 4, mc records a missing sample
         try:
             return args.handler(args)
-        except EstimationFailed as exc:
-            _fail(f"estimation failed: {exc}")
-            return EXIT_ESTIMATION
         except OSError as exc:
             _fail(str(exc))
             return EXIT_IO

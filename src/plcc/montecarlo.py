@@ -3,14 +3,14 @@
 Every replication derives its seed deterministically from the master seed
 and the replication index, so results are identical across runs and across
 degrees of parallelism; aggregation always walks replications in index
-order. Individual estimation failures are recorded per replication rather
-than aborting the experiment.
+order. A measurement that fails in one replication leaves that sample
+missing (None) rather than aborting the experiment.
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
@@ -40,16 +40,30 @@ __all__ = [
     "standard_regimes",
 ]
 
+# Each measurement once: its estimator token, the ``theoretical_exponents``
+# key it targets (None: no target) and its reader, which takes the pair's
+# cached fluctuation pass, x, y, the config and the length.
+_MEASUREMENTS = {
+    "dfa_hx": ("dfa", "h_x", lambda jf, x, y, cfg, n: jf().hurst_x().exponent),
+    "dfa_hy": ("dfa", "h_y", lambda jf, x, y, cfg, n: jf().hurst_y().exponent),
+    "dcca_hxy": ("dcca", "h_xy", lambda jf, x, y, cfg, n: _gated_hxy(jf(), n)),
+    "logperiodogram_hx": ("logperiodogram", "h_x", lambda jf, x, y, cfg, n:
+                          estimate_h_logperiodogram(x, cfg.n_freqs).exponent),
+    "logperiodogram_hy": ("logperiodogram", "h_y", lambda jf, x, y, cfg, n:
+                          estimate_h_logperiodogram(y, cfg.n_freqs).exponent),
+    "logcross_hxy": ("logcross", "h_xy", lambda jf, x, y, cfg, n:
+                     estimate_hxy_logcross(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
+    "rho_median": ("rho", None, lambda jf, x, y, cfg, n: np.median(jf().rho())),
+    "beta_median": ("beta", None, lambda jf, x, y, cfg, n: np.median(jf().beta())),
+    "h_rho_time": ("h_rho_time", "h_rho", lambda jf, x, y, cfg, n: rho_decay(jf()).exponent),
+    "h_rho_freq": ("h_rho_freq", "h_rho", lambda jf, x, y, cfg, n:
+                   h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
+}
+
 # measurement names produced by each estimator token
 ESTIMATORS = {
-    "dfa": ("dfa_hx", "dfa_hy"),
-    "dcca": ("dcca_hxy",),
-    "logperiodogram": ("logperiodogram_hx", "logperiodogram_hy"),
-    "logcross": ("logcross_hxy",),
-    "rho": ("rho_median",),
-    "beta": ("beta_median",),
-    "h_rho_time": ("h_rho_time",),
-    "h_rho_freq": ("h_rho_freq",),
+    tok: tuple(name for name, row in _MEASUREMENTS.items() if row[0] == tok)
+    for tok in dict.fromkeys(row[0] for row in _MEASUREMENTS.values())
 }
 
 _FLUCTUATION_TOKENS = frozenset({"dfa", "dcca", "rho", "beta", "h_rho_time"})
@@ -70,17 +84,6 @@ SIGN_STABILITY_FRACTION = 1 / 3
 # there is no detectable cross-correlation to fit.
 NULL_BAND_FACTOR = 1.5
 NULL_CONSISTENT_FRACTION = 0.5
-
-_TARGET_KEYS = {
-    "dfa_hx": "h_x",
-    "dfa_hy": "h_y",
-    "dcca_hxy": "h_xy",
-    "logperiodogram_hx": "h_x",
-    "logperiodogram_hy": "h_y",
-    "logcross_hxy": "h_xy",
-    "h_rho_time": "h_rho",
-    "h_rho_freq": "h_rho",
-}
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -177,9 +180,8 @@ class ExperimentConfig:
         try:
             if self.n_freqs is not None:
                 resolve_n_freqs(self.n_freqs, min(self.lengths))
-            if _FLUCTUATION_TOKENS & set(self.estimators):
-                for length in self.lengths:
-                    _detrend_config(self, length)
+            for length in self.lengths:
+                _detrend_config(self, length)
         except InvalidInput as exc:
             raise InvalidParameter(str(exc)) from None
 
@@ -277,82 +279,45 @@ def _gated_hxy(jf: JointFluctuations, length: int) -> float:
     return fit.exponent
 
 
-def _detrend_config(cfg: ExperimentConfig, length: int) -> DetrendConfig:
-    """The scale grid and order the detrended estimators use at ``length``."""
-    grid = default_scale_grid(
-        length, cfg.poly_order, cfg.n_scales, cfg.scale_min, cfg.scale_max
-    )
+def _detrend_config(cfg: ExperimentConfig, length: int) -> DetrendConfig | None:
+    """The scale grid and order the detrended estimators use at ``length``;
+    None when no detrended estimator is requested."""
+    if not _FLUCTUATION_TOKENS & set(cfg.estimators):
+        return None
+    grid = default_scale_grid(length, cfg.poly_order, cfg.n_scales, cfg.scale_min, cfg.scale_max)
     return DetrendConfig(grid, cfg.poly_order)
 
 
-def _evaluate_pair(
-    x, y, cfg: ExperimentConfig, detrend: DetrendConfig | None, length: int
-) -> tuple[dict, dict]:
-    """All requested measurements for one generated pair.
+def _evaluate_pair(x, y, cfg: ExperimentConfig, detrend: DetrendConfig | None, length: int) -> dict:
+    """The requested measurements of one generated pair that succeeded, by name.
 
-    ``detrend`` is the grid of :func:`_detrend_config` at ``length``, or None
-    when no detrended measurement is requested.
+    ``detrend`` is what :func:`_detrend_config` returns at ``length``.
     """
-    fluct = None
-    if detrend is not None:
-        # one pass serves every detrended measurement; a pass that raises
-        # fails each of them with its reason
-        fluct = functools.cache(lambda: JointFluctuations(x, y, detrend))
-    readers = {
-        "dfa_hx": lambda: fluct().hurst_x().exponent,
-        "dfa_hy": lambda: fluct().hurst_y().exponent,
-        "dcca_hxy": lambda: _gated_hxy(fluct(), length),
-        "rho_median": lambda: np.median(fluct().rho()),
-        "beta_median": lambda: np.median(fluct().beta()),
-        "h_rho_time": lambda: rho_decay(fluct()).exponent,
-        "logperiodogram_hx": lambda: estimate_h_logperiodogram(x, cfg.n_freqs).exponent,
-        "logperiodogram_hy": lambda: estimate_h_logperiodogram(y, cfg.n_freqs).exponent,
-        "logcross_hxy": lambda: estimate_hxy_logcross(
-            x, y, cfg.n_freqs, cfg.bandwidth
-        ).exponent,
-        "h_rho_freq": lambda: h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent,
-    }
+    # one pass serves every detrended measurement; a pass that raises fails
+    # each of them
+    fluct = functools.cache(lambda: JointFluctuations(x, y, detrend))
     values: dict = {}
-    failures: dict = {}
     for name in cfg.measurements:
-        try:
-            values[name] = float(readers[name]())
-        except PlccError as exc:
-            failures[name] = str(exc)
-    return values, failures
-
-
-def _replicate(
-    cfg: ExperimentConfig,
-    spec: McArfimaSpec,
-    detrend: DetrendConfig | None,
-    length: int,
-    index: int,
-) -> dict:
-    """One replication from ``spec``, ``cfg.spec`` resolved at ``length``."""
-    seed = split_seed(cfg.master_seed, index)
-    x, y = generate_mc_arfima(spec, length, seed)
-    values, failures = _evaluate_pair(x, y, cfg, detrend, length)
-    return {"values": values, "failures": failures}
+        with suppress(PlccError):
+            values[name] = float(_MEASUREMENTS[name][2](fluct, x, y, cfg, length))
+    return values
 
 
 def _cell_from_samples(measurement, length, target, samples) -> CellStats:
     done = np.array([v for v in samples if v is not None], dtype=float)
-    n_completed = int(done.size)
-    n_failed = len(samples) - n_completed
-    degraded = n_failed > 0.2 * len(samples)
-    if n_completed == 0:
-        return CellStats(
-            measurement, length, target, 0, n_failed, True,
-            None, None, None, None, None, None, tuple(samples),
-        )
-    mean = float(done.mean())
-    std = float(done.std(ddof=1)) if n_completed > 1 else 0.0
-    bias = mean - target if target is not None else None
-    q05, q50, q95 = (float(q) for q in np.quantile(done, [0.05, 0.5, 0.95]))
+    n_failed = len(samples) - done.size
+    stats = [None] * 6  # mean, std, bias and the 5/50/95 % quantiles
+    if done.size:
+        mean = float(done.mean())
+        stats = [
+            mean,
+            float(done.std(ddof=1)) if done.size > 1 else 0.0,
+            mean - target if target is not None else None,
+            *(float(q) for q in np.quantile(done, [0.05, 0.5, 0.95])),
+        ]
     return CellStats(
-        measurement, length, target, n_completed, n_failed, degraded,
-        mean, std, bias, q05, q50, q95, tuple(samples),
+        measurement, length, target, done.size, n_failed, n_failed > 0.2 * len(samples),
+        *stats, tuple(samples),
     )
 
 
@@ -365,8 +330,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     if require_int("jobs", jobs) < 1:
         raise InvalidParameter("jobs must be at least 1")
     targets = theoretical_exponents(cfg.spec)
-    reps = cfg.replications
-    by_cell: dict = {}
+    values = {}  # per length, the values of each replication in index order
     pool = nullcontext()
     if jobs > 1:
         # imported here: generation and the analyses never need a pool
@@ -378,29 +342,32 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
             # one resolved spec per length: its memo transforms each weight
             # sequence once for all replications, and is dropped with it;
             # likewise one scale grid per length
-            detrend = None
-            if _FLUCTUATION_TOKENS & set(cfg.estimators):
-                detrend = _detrend_config(cfg, length)
-            replicate = functools.partial(
-                _replicate, cfg, cfg.spec.resolved(length), detrend, length
-            )
-            outcomes = (pool.map if jobs > 1 else map)(replicate, range(reps))
-            by_cell.update(((length, r), out) for r, out in enumerate(outcomes))
+            spec = cfg.spec.resolved(length)
+            detrend = _detrend_config(cfg, length)
 
-    cells = []
-    for measurement in cfg.measurements:
-        target = targets.get(_TARGET_KEYS.get(measurement, ""), None)
-        for length in cfg.lengths:
-            samples = [
-                by_cell[(length, r)]["values"].get(measurement) for r in range(reps)
-            ]
-            cells.append(_cell_from_samples(measurement, length, target, samples))
+            def replicate(index):
+                x, y = generate_mc_arfima(spec, length, split_seed(cfg.master_seed, index))
+                return _evaluate_pair(x, y, cfg, detrend, length)
+
+            # list() finishes every replication before the loop rebinds
+            # what ``replicate`` reads
+            outcomes = (pool.map if jobs > 1 else map)(replicate, range(cfg.replications))
+            values[length] = list(outcomes)
+
+    cells = tuple(
+        _cell_from_samples(
+            measurement, length, targets.get(_MEASUREMENTS[measurement][1]),
+            [v.get(measurement) for v in values[length]],
+        )
+        for measurement in cfg.measurements
+        for length in cfg.lengths
+    )
     return ExperimentResult(
         label=cfg.label,
         lengths=cfg.lengths,
-        replications=reps,
+        replications=cfg.replications,
         targets=targets,
-        cells=tuple(cells),
+        cells=cells,
         degraded=any(c.degraded for c in cells),
         config_echo=cfg.echo(),
     )

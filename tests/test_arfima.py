@@ -167,6 +167,21 @@ def test_spec_validation_messages():
         McArfimaSpec(1, 0, 1, 0, 0.1, 0, 0.2, 0, np.eye(4), burn_in=-1)
 
 
+def test_spec_refuses_a_malformed_sigma():
+    nan = np.eye(4)
+    nan[0, 2] = nan[2, 0] = np.nan
+    with pytest.raises(InvalidParameter, match="^sigma contains NaN or infinite entries$"):
+        McArfimaSpec(1, 0, 1, 0, 0.1, 0, 0.2, 0, nan)
+    flat = np.eye(4)
+    flat[1, 1] = 0.0
+    message = "^sigma diagonal entries must be strictly positive$"
+    with pytest.raises(InvalidParameter, match=message):
+        McArfimaSpec(1, 0, 1, 0, 0.1, 0, 0.2, 0, flat)
+    record = McArfimaSpec(1, 0, 1, 0, 0.1, 0, 0.2, 0, np.eye(4)).to_dict()
+    with pytest.raises(InvalidParameter, match="^sigma must be a 4x4 array of numbers, got 'eye'$"):
+        McArfimaSpec.from_dict({**record, "sigma": "eye"})
+
+
 @pytest.mark.parametrize(
     "cutoffs", [{"truncation": 1500.7}, {"truncation": 1500.0}, {"burn_in": 300.2}, {"burn_in": True}]
 )

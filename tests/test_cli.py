@@ -153,6 +153,13 @@ def test_generate_into_a_missing_directory_exits_3(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["g.cfg"]
 
 
+def test_generate_requires_a_length(tmp_path, capsys):
+    cfg = _write(tmp_path / "g.cfg", "seed = 1\nspec.d1 = 0.3\n")
+    assert main(["generate", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+    assert capsys.readouterr().err == f"plcc: error: {cfg}: config key 'length' is required\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.cfg"]
+
+
 # =========================================================================
 # analyses
 # =========================================================================
@@ -704,8 +711,9 @@ def test_replay_keeps_a_modified_original(tmp_path, capsys, monkeypatch):
         # the sidecar of r.json is the input
         (["dcca", "r.json.manifest.json", "--out", "r.json"], "r.json.manifest.json"),
         (["generate", "g.cfg", "--out", "g.cfg"], "g.cfg"),
+        (["dcca", "p.csv", "--out", "hard.csv"], "hard.csv"),
     ],
-    ids=["same-path", "dotted-path", "symlink", "sidecar", "generate-config"],
+    ids=["same-path", "dotted-path", "symlink", "sidecar", "generate-config", "hard-link"],
 )
 def test_run_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch, argv, clobbered):
     # a run that wrote over its input used to exit 0, and the generate
@@ -715,6 +723,7 @@ def test_run_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch, argv,
     assert main(["generate", "g.cfg", "--out", "p.csv"]) == 0
     shutil.copy("p.csv", "r.json.manifest.json")
     os.symlink("p.csv", "link.csv")
+    os.link("p.csv", "hard.csv")
     os.mkdir("sub")
 
     def every_file():
@@ -747,6 +756,90 @@ def test_replay_compares_what_its_own_run_wrote(tmp_path, capsys, monkeypatch):
     )
     assert "replay ok" not in captured.out
     assert _contents(["pair.csv", "pair.csv.manifest.json"]) == original
+
+
+@pytest.mark.parametrize(
+    "key, value, differ",
+    [("seed", 4041, "pair.csv"), ("out", "notes.txt", "notes.txt, pair.csv")],
+    ids=["edited-seed", "edited-out"],
+)
+def test_replay_of_an_edited_record_writes_nothing(
+    tmp_path, capsys, monkeypatch, key, value, differ
+):
+    # the replay regenerates into a scratch directory: a record whose seed
+    # was edited used to overwrite pair.csv and its sidecar, and one whose
+    # out names another file used to write the pair into that file
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    _write(tmp_path / "notes.txt", "kept\n")
+    doc = json.load(open("pair.csv.manifest.json"))
+    doc["parameters"][key] = value
+    _write(tmp_path / "edited.json", json.dumps(doc))
+
+    def every_file():
+        return _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+
+    before = every_file()
+    capsys.readouterr()
+    assert main(["replay", "edited.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"plcc: error: replay outputs differ from the manifest record: {differ}\n"
+    )
+    assert every_file() == before
+
+
+def test_replay_restores_a_missing_sidecar(tmp_path, capsys, monkeypatch):
+    # a matching replay copies a missing output or sidecar from its scratch
+    # directory and writes nothing else
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = _contents(files)
+    os.remove(os.path.join("runs", "summary.json.manifest.json"))
+    os.remove(os.path.join("runs", "smoke.json"))
+    capsys.readouterr()
+    assert main(["replay", os.path.join("runs", "smoke.json.manifest.json")]) == 0
+    assert "replay ok: 2 recorded output(s) byte-identical" in capsys.readouterr().out
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+    assert _contents(files) == before
+
+
+def test_replay_refuses_a_sidecar_of_a_replay(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    doc = json.load(open("pair.csv.manifest.json"))
+    _write(tmp_path / "bad.json", json.dumps({**doc, "subcommand": "replay"}))
+    before = _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+    capsys.readouterr()
+    assert main(["replay", "bad.json"]) == 2
+    assert capsys.readouterr().err == (
+        "plcc: error: bad.json: manifest subcommand 'replay' is not replayable\n"
+    )
+    assert _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file())) == before
+
+
+def test_replay_refuses_a_suite_record_whose_configs_were_edited(tmp_path, capsys, monkeypatch):
+    # the suite is rebuilt from its counts, seed and generator; edited
+    # configs used to be overwritten by the rebuilt ones and replay "ok"
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "suite.cfg", "mc.suite = standard-regimes\nmc.length = 1024\n"
+           "mc.replications = 2\n")
+    assert main(["mc", "suite.cfg", "--out-dir", "suite"]) == 0
+    doc = json.load(open(os.path.join("suite", "summary.json.manifest.json")))
+    doc["parameters"]["configs"][0]["replications"] = 99
+    doc["parameters"]["configs"][0]["spec"]["d1"] = 0.45
+    _write(tmp_path / "edited.json", json.dumps(doc))
+    before = _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+    capsys.readouterr()
+    assert main(["replay", "edited.json"]) == 2
+    assert capsys.readouterr().err == (
+        "plcc: error: edited.json: manifest parameter 'configs' differs from the suite "
+        "that its length, replications, master_seed and generator rebuild\n"
+    )
+    assert _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file())) == before
 
 
 # =========================================================================
@@ -870,6 +963,25 @@ def test_mc_config_errors(tmp_path, capsys):
         assert main(["mc", cfg, "--out-dir", str(out_dir), flag, value]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("mc.estimators = dfa, dcca\n", "", "config key 'mc.estimators' is required"),
+        ("mc.master_seed = 71\n", "",
+         "a master seed is required: pass --seed, set PLCC_SEED, or add 'mc.master_seed' "
+         "to the config"),
+        ("mc.lengths = 512", "mc.lengths = 512, x", "mc.lengths must be comma-separated integers"),
+    ],
+    ids=["no-estimators", "no-master-seed", "non-integer-length"],
+)
+def test_mc_single_experiment_config_errors(tmp_path, capsys, old, new, message):
+    cfg = _write(tmp_path / "mc.cfg", MC_SINGLE_CFG.replace(old, new))
+    out_dir = tmp_path / "runs"
+    assert main(["mc", cfg, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"plcc: error: {cfg}: {message}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

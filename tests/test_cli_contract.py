@@ -1,11 +1,12 @@
 """Property tests of the command line contract, run in process through ``main``.
 
 Each example works in a fresh temporary directory. The ``mc`` test writes a
-config and runs it; labels are drawn from path-like strings on purpose, and
-list entries may repeat, since these are the inputs a hand-picked case
-misses. The analysis test runs one analysis subcommand on a 512-row file
-with options drawn from the subcommand's own parser, ``--out`` naming the
-input itself among them, and replays what the run wrote.
+config, runs it and replays what the run wrote; labels are drawn from
+path-like strings on purpose, and list entries may repeat, since these are
+the inputs a hand-picked case misses. The analysis test runs one analysis
+subcommand on a 512-row file with options drawn from the subcommand's own
+parser, ``--out`` naming the input itself among them, and replays what the
+run wrote.
 """
 
 import argparse
@@ -90,6 +91,9 @@ def test_mc_exit_code_and_outputs_follow_the_contract(label, lengths, estimators
             cells = json.load(fh)["cells"]
         keys = [(c["measurement"], c["length"]) for c in cells]
         assert len(set(keys)) == len(keys)
+        # the sidecar replays with the run's exit code and adds or changes no file
+        assert main(["replay", os.path.join(out_dir, "summary.json.manifest.json")]) == code
+        assert _tree(root) == after
 
 
 # =========================================================================

@@ -275,6 +275,20 @@ def test_fit_loglog_validation():
         fit_loglog(flat, divisor=2.0)
 
 
+def test_fit_loglog_refuses_nan_points_and_a_flat_log_abscissa():
+    good = np.column_stack([np.arange(1.0, 6.0), np.arange(1.0, 6.0)])
+    bad = good.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(InvalidInput, match="^fit points contain NaN or infinite values$"):
+        fit_loglog(bad, divisor=2.0)
+    # distinct abscissae one ulp apart can share a logarithm
+    a = 1e300
+    assert np.log(a) == np.log(np.nextafter(a, np.inf))
+    close = np.array([[a, 1.0], [np.nextafter(a, np.inf), 2.0], [a, 3.0]])
+    with pytest.raises(InvalidInput, match="^abscissa values are all identical$"):
+        fit_loglog(close, divisor=2.0)
+
+
 def test_scalingfit_field_validation():
     with pytest.raises(InvalidParameter):
         ScalingFit(0.5, 0.0, -0.1, 0.9, (1.0, 2.0))

@@ -10,11 +10,13 @@ from plcc.detrended import (
     DetrendConfig,
     JointFluctuations,
     _detrend_basis,
+    _fit_scaling,
     default_scale_grid,
     min_scale_for_order,
 )
 from plcc.errors import (
     DegenerateInput,
+    EstimationFailed,
     InvalidInput,
     InvalidParameter,
     SeriesTooShort,
@@ -477,6 +479,32 @@ def test_degenerate_inputs_raise(xy_pair):
         JointFluctuations(const, y, cfg).beta()
     with pytest.raises(InvalidInput):
         JointFluctuations(x, y[:-1], cfg)
+
+
+def test_zero_variance_gates_of_rho_and_beta(xy_pair):
+    # a zero at some scale of F2_x or F2_y takes a box residual that is
+    # exactly zero, which a non-constant series does not reach in floating
+    # point, so the curves are set here
+    x, y, cfg = xy_pair
+    jf = JointFluctuations(x, y, cfg)
+    jf._fyy = np.where(cfg.scale_grid == cfg.scale_grid[3], 0.0, jf._fyy)
+    with pytest.raises(DegenerateInput, match="^zero detrended variance at some scale$"):
+        jf.rho()
+    jf.beta()  # the regressor x keeps its variance
+    jf._fxx = jf._fyy
+    with pytest.raises(
+        DegenerateInput, match="^zero detrended variance of the regressor at some scale$"
+    ):
+        jf.beta()
+
+
+def test_scaling_fit_needs_three_nonzero_values():
+    values = np.array([0.0, 2.0, 0.0, 0.0, -5.0])
+    with pytest.raises(
+        EstimationFailed,
+        match="^only 2 usable points after dropping non-positive values; need 3$",
+    ):
+        _fit_scaling(np.arange(16.0, 21.0), values, divisor=2.0)
 
 
 def test_estimate_diagnostics_present(xy_pair):

@@ -341,6 +341,12 @@ def test_json_dumps_canonical_form():
     assert doc == {"a": 0.5, "b": 1, "c": [1, 2], "d": [0, 1, 2]}
 
 
+def test_json_dumps_writes_a_numpy_integer_as_an_integer():
+    # a numpy float is a float already; a numpy integer is not an int
+    assert not isinstance(np.int64(7), int)
+    assert json_dumps({"n": np.int64(7)}) == '{\n  "n": 7\n}\n'
+
+
 def test_json_dumps_rejects_nan():
     with pytest.raises(ValueError):
         json_dumps({"v": float("nan")})

@@ -153,6 +153,13 @@ def test_experiment_config_validation():
     assert len(standard_regimes(length=1024, replications=2)) == 5
 
 
+def test_experiment_config_refuses_a_string_of_lengths():
+    with pytest.raises(InvalidParameter, match="^lengths must be a list or tuple, got '512'$"):
+        ExperimentConfig(
+            spec=STANDARD, lengths="512", replications=4, estimators=("dfa",), master_seed=7
+        )
+
+
 def test_measurements_expansion():
     cfg = ExperimentConfig(
         spec=STANDARD, lengths=(512,), replications=4,

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec, generate_mc_arfima
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
-from plcc.errors import InvalidInput, InvalidParameter, PlccError
+from plcc.errors import EstimationFailed, InvalidInput, InvalidParameter, PlccError
 from plcc.montecarlo import ExperimentConfig, run_experiment, split_seed
-from plcc.powerlaw import classify, coherency_report, h_rho_frequency, rho_decay
+from plcc.powerlaw import (
+    _fit_power_decay,
+    classify,
+    coherency_report,
+    h_rho_frequency,
+    rho_decay,
+)
 
 
 def _standard_spec(rho=0.5):
@@ -60,6 +66,14 @@ def test_frequency_channel_drops_zero_ordinates():
     fit = h_rho_frequency(x, y, bandwidth=11)
     assert fit.diagnostics["dropped_zero"] >= 0
     assert np.isfinite(fit.exponent)
+
+
+def test_decay_fit_needs_five_positive_ordinates():
+    # a realized rho or coherency is exactly zero almost never, so the gate
+    # is tested on the shared fit
+    ordinates = np.array([0.5, 0.0, 0.25, 0.0, 0.1, 0.05, 0.0])
+    with pytest.raises(EstimationFailed, match="^only 4 positive ordinates survive; need 5$"):
+        _fit_power_decay(np.arange(1.0, 8.0), ordinates, divisor=4.0)
 
 
 def test_time_channel_runs_on_correlated_pair():

@@ -9,6 +9,7 @@ from plcc.arfima import McArfimaSpec, generate_arfima, generate_mc_arfima
 from plcc.core import fit_loglog
 from plcc.errors import (
     DegenerateInput,
+    EstimationFailed,
     InvalidInput,
     InvalidParameter,
     PlccError,
@@ -17,6 +18,7 @@ from plcc.errors import (
 from plcc.montecarlo import split_seed
 from plcc.powerlaw import h_rho_frequency
 from plcc.spectral import (
+    _memory_fit,
     coherency,
     cross_periodogram,
     estimate_h_logperiodogram,
@@ -296,6 +298,16 @@ def test_error_contract_table():
             with pytest.raises(PlccError) as info:
                 call(args)
             assert (type(info.value), str(info.value)) == want, case
+
+
+def test_memory_fit_needs_three_positive_ordinates():
+    # a constant side is refused before any transform, and the periodogram
+    # of any other series is exactly zero almost never
+    freqs = np.linspace(0.1, 0.5, 5)
+    with pytest.raises(
+        EstimationFailed, match="^fewer than 3 positive ordinates in the regression band$"
+    ):
+        _memory_fit(freqs, np.array([1.0, 0.0, 0.0, 2.0, 0.0]))
 
 
 # =========================================================================
