@@ -482,7 +482,7 @@ def test_degenerate_inputs_raise(xy_pair):
 
 
 def test_zero_variance_gates_of_rho_and_beta(xy_pair):
-    # a zero at some scale of F2_x or F2_y takes a box residual that is
+    # F2_x or F2_y is zero at a scale only when every box residual there is
     # exactly zero, which a non-constant series does not reach in floating
     # point, so the curves are set here
     x, y, cfg = xy_pair
