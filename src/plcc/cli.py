@@ -501,8 +501,6 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
             "tolerance": tolerance,
             "configs": [{"label": r.label, "degraded": r.degraded} for r in results],
         }
-    # the directory appears only once every check has passed
-    os.makedirs(out_dir, exist_ok=True)
     docs = {os.path.join(out_dir, f"{res.label}.json"): res.to_dict() for res in results}
     docs[os.path.join(out_dir, "summary.json")] = {"subcommand": "mc", **summary}
     seeds = sorted({c.master_seed for c in configs})
@@ -588,8 +586,8 @@ def _run(
 
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run. An
-    output or sidecar that resolves to an input file, or is a hard link to
-    one, is refused before anything is written. With ``scratch`` (a replay)
+    output or sidecar that is an input file, by any path, symlink or hard
+    link, is refused before anything is written. With ``scratch`` (a replay)
     each output and its sidecar are written under a name of their own in
     that directory instead of at the recorded path. Returns the exit code,
     the outputs, where each was written and its digest, all by recorded
@@ -601,13 +599,13 @@ def _run(
                 f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"
             )
     code, seeds, outputs = _EXEC[sub](params, inputs, jobs)
-    input_files = {os.path.realpath(p) for p in inputs}
     input_stats = [os.stat(p) for p in inputs if os.path.exists(p)]
     for path in (*outputs, *(f"{p}.manifest.json" for p in outputs)):
-        if os.path.realpath(path) in input_files or os.path.exists(path) and any(
-            os.path.samestat(os.stat(path), s) for s in input_stats
-        ):
+        if os.path.exists(path) and any(os.path.samestat(os.stat(path), s) for s in input_stats):
             raise InvalidParameter(f"{path} would overwrite an input of the run")
+    if sub == "mc" and not scratch:
+        # the directory appears only once every check has passed
+        os.makedirs(params["out_dir"], exist_ok=True)
     written = {p: os.path.join(scratch, str(i)) if scratch else p for i, p in enumerate(outputs)}
     manifest = build_manifest(sub, params, inputs, seeds)
     for path, output in outputs.items():
@@ -657,10 +655,12 @@ def _cmd_replay(args) -> int:
         if mismatched:
             _fail("replay outputs differ from the manifest record: " + ", ".join(mismatched))
             return 1
-        # the regeneration matches: a missing original or sidecar gets its bytes
+        # the regeneration matches: a missing original or sidecar gets its
+        # bytes, in a directory made for it if need be
         for path, temp in written.items():
             for suffix in ("", ".manifest.json"):
                 if not os.path.exists(path + suffix):
+                    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
                     shutil.copyfile(temp + suffix, path + suffix)
     if code == EXIT_OK:
         print(f"replay ok: {len(recorded)} recorded output(s) byte-identical")

@@ -41,22 +41,22 @@ __all__ = [
 ]
 
 # Each measurement once: its estimator token, the ``theoretical_exponents``
-# key it targets (None: no target) and its reader, which takes the pair's
-# cached fluctuation pass, x, y, the config and the length.
+# key it targets (None: no target), whether it reads the detrended pass, and
+# its reader (the pair's cached pass, x, y, the config and the length).
 _MEASUREMENTS = {
-    "dfa_hx": ("dfa", "h_x", lambda jf, x, y, cfg, n: jf().hurst_x().exponent),
-    "dfa_hy": ("dfa", "h_y", lambda jf, x, y, cfg, n: jf().hurst_y().exponent),
-    "dcca_hxy": ("dcca", "h_xy", lambda jf, x, y, cfg, n: _gated_hxy(jf(), n)),
-    "logperiodogram_hx": ("logperiodogram", "h_x", lambda jf, x, y, cfg, n:
+    "dfa_hx": ("dfa", "h_x", True, lambda jf, x, y, cfg, n: jf().hurst_x().exponent),
+    "dfa_hy": ("dfa", "h_y", True, lambda jf, x, y, cfg, n: jf().hurst_y().exponent),
+    "dcca_hxy": ("dcca", "h_xy", True, lambda jf, x, y, cfg, n: _gated_hxy(jf(), n)),
+    "logperiodogram_hx": ("logperiodogram", "h_x", False, lambda jf, x, y, cfg, n:
                           estimate_h_logperiodogram(x, cfg.n_freqs).exponent),
-    "logperiodogram_hy": ("logperiodogram", "h_y", lambda jf, x, y, cfg, n:
+    "logperiodogram_hy": ("logperiodogram", "h_y", False, lambda jf, x, y, cfg, n:
                           estimate_h_logperiodogram(y, cfg.n_freqs).exponent),
-    "logcross_hxy": ("logcross", "h_xy", lambda jf, x, y, cfg, n:
+    "logcross_hxy": ("logcross", "h_xy", False, lambda jf, x, y, cfg, n:
                      estimate_hxy_logcross(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
-    "rho_median": ("rho", None, lambda jf, x, y, cfg, n: np.median(jf().rho())),
-    "beta_median": ("beta", None, lambda jf, x, y, cfg, n: np.median(jf().beta())),
-    "h_rho_time": ("h_rho_time", "h_rho", lambda jf, x, y, cfg, n: rho_decay(jf()).exponent),
-    "h_rho_freq": ("h_rho_freq", "h_rho", lambda jf, x, y, cfg, n:
+    "rho_median": ("rho", None, True, lambda jf, x, y, cfg, n: np.median(jf().rho())),
+    "beta_median": ("beta", None, True, lambda jf, x, y, cfg, n: np.median(jf().beta())),
+    "h_rho_time": ("h_rho_time", "h_rho", True, lambda jf, x, y, cfg, n: rho_decay(jf()).exponent),
+    "h_rho_freq": ("h_rho_freq", "h_rho", False, lambda jf, x, y, cfg, n:
                    h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
 }
 
@@ -66,7 +66,7 @@ ESTIMATORS = {
     for tok in dict.fromkeys(row[0] for row in _MEASUREMENTS.values())
 }
 
-_FLUCTUATION_TOKENS = frozenset({"dfa", "dcca", "rho", "beta", "h_rho_time"})
+_FLUCTUATION_TOKENS = frozenset(row[0] for row in _MEASUREMENTS.values() if row[2])
 
 # A cross-fluctuation curve whose sign alternates this often (as a fraction
 # of the scale count) has no readable power law; the harness records the
@@ -299,7 +299,7 @@ def _evaluate_pair(x, y, cfg: ExperimentConfig, detrend: DetrendConfig | None, l
     values: dict = {}
     for name in cfg.measurements:
         with suppress(PlccError):
-            values[name] = float(_MEASUREMENTS[name][2](fluct, x, y, cfg, length))
+            values[name] = float(_MEASUREMENTS[name][3](fluct, x, y, cfg, length))
     return values
 
 

@@ -806,6 +806,36 @@ def test_replay_restores_a_missing_sidecar(tmp_path, capsys, monkeypatch):
     assert _contents(files) == before
 
 
+def test_replay_of_an_edited_out_dir_makes_no_directory(tmp_path, capsys, monkeypatch):
+    # the output directory of an mc record used to be created before the
+    # digests were compared, and stayed behind, empty, after exit 1
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
+    doc = json.load(open(os.path.join("runs", "smoke.json.manifest.json")))
+    doc["parameters"]["out_dir"] = "elsewhere"
+    _write(tmp_path / "edited.json", json.dumps(doc))
+    paths = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["replay", "edited.json"]) == 1
+    assert "replay outputs differ from the manifest record" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == paths
+
+
+def test_replay_restores_a_removed_output_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
+    assert main(["mc", "mc.cfg", "--out-dir", "runs"]) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = _contents(files)
+    shutil.copy(os.path.join("runs", "smoke.json.manifest.json"), "record.json")
+    shutil.rmtree("runs")
+    capsys.readouterr()
+    assert main(["replay", "record.json"]) == 0
+    assert "replay ok: 2 recorded output(s) byte-identical" in capsys.readouterr().out
+    assert _contents(files) == before
+
+
 def test_replay_refuses_a_sidecar_of_a_replay(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "g.cfg", GEN_CFG)
