@@ -10,12 +10,14 @@ and a map of input digests, and hands both to one run path, ``_run``. It
 executes the subcommand, embeds the manifest (the parameters as the run
 resolved them, the input digests and the seeds) in every result document and
 writes one sidecar ``<output>.manifest.json`` per output, listing the digests
-of all outputs. ``replay`` first checks every recorded output still on disk
-against its digest and stops if one was modified; it then sends the
-recorded parameters and inputs down the same path into a scratch directory
-and compares the digests of what that run wrote with the record. Only a
-matching replay writes outside the scratch directory, and only to restore a
-recorded output or sidecar that is missing.
+of all outputs. It stages every output and sidecar in a temporary directory
+and then copies them to their paths, so a fresh run, like a replay, needs a
+writable temporary directory. ``replay`` works from the record's root, the
+manifest's path less the sidecar name ``<output>.manifest.json`` of a
+recorded output, so it runs from any working directory. It stops if a recorded
+output on disk was modified, sends the recorded parameters and inputs down
+the same path and compares the staged digests with the record. Only a match
+copies, and only a recorded output or sidecar that is missing.
 
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
@@ -555,7 +557,7 @@ def _cmd_mc(args) -> int:
             **_mc_fields(cfg, _EXPERIMENT_FIELDS),
         )
         params.update(mode="single", config_echo=experiment.echo())
-    code, docs = _run("mc", params, inputs, args.jobs)[:2]
+    code, docs = _run("mc", params, inputs, args.jobs)
     summary = docs[os.path.join(args.out_dir, "summary.json")]
     if "max_gap" in summary:
         print(
@@ -580,19 +582,27 @@ _EXEC = {"generate": _exec_generate, "mc": _exec_mc, **dict.fromkeys(_ANALYZE_FN
 
 
 def _run(
-    sub: str, params: dict, inputs: dict, jobs: int, scratch: str | None = None
-) -> tuple[int, dict, dict, dict]:
+    sub: str, params: dict, inputs: dict, jobs: int, recorded: dict | None = None
+) -> tuple[int, dict]:
     """Execute a subcommand and record it.
 
     The manifest is embedded in every result document, and every output
     gets a sidecar that lists the digests of all outputs of the run. An
     output or sidecar that is an input file, by any path, symlink or hard
-    link, is refused before anything is written. With ``scratch`` (a replay)
-    each output and its sidecar are written under a name of their own in
-    that directory instead of at the recorded path. Returns the exit code,
-    the outputs, where each was written and its digest, all by recorded
-    path.
+    link, is refused before anything is written. Outputs and sidecars are
+    staged in a temporary directory, then copied to their paths. A replay
+    passes its ``recorded`` output digests: a modified original stops it
+    before it runs, the staged digests must match, and only missing files
+    are copied. Returns the exit code and the outputs by path.
     """
+    if recorded is not None:
+        modified = [
+            path for path, digest in sorted(recorded.items())
+            if os.path.exists(path) and sha256_file(path) != digest
+        ]
+        if modified:
+            _fail("original modified since the manifest was written: " + ", ".join(modified))
+            return 1, {}
     for name, (kind, holds) in _PARAMETER_TYPES.items():
         if name in params and not holds(params[name]):
             raise InvalidParameter(
@@ -603,21 +613,32 @@ def _run(
     for path in (*outputs, *(f"{p}.manifest.json" for p in outputs)):
         if os.path.exists(path) and any(os.path.samestat(os.stat(path), s) for s in input_stats):
             raise InvalidParameter(f"{path} would overwrite an input of the run")
-    if sub == "mc" and not scratch:
-        # the directory appears only once every check has passed
-        os.makedirs(params["out_dir"], exist_ok=True)
-    written = {p: os.path.join(scratch, str(i)) if scratch else p for i, p in enumerate(outputs)}
     manifest = build_manifest(sub, params, inputs, seeds)
-    for path, output in outputs.items():
-        if isinstance(output, dict):
-            output["manifest"] = manifest
-            write_json(written[path], output)
-        else:
-            write_series_csv(written[path], *output)
-    sidecar = {**manifest, "outputs": {p: sha256_file(written[p]) for p in outputs}}
-    for path in written.values():
-        write_json(f"{path}.manifest.json", sidecar)
-    return code, outputs, written, sidecar["outputs"]
+    with tempfile.TemporaryDirectory() as stage:
+        staged = {p: os.path.join(stage, str(i)) for i, p in enumerate(outputs)}
+        for path, output in outputs.items():
+            if isinstance(output, dict):
+                output["manifest"] = manifest
+                write_json(staged[path], output)
+            else:
+                write_series_csv(staged[path], *output)
+        digests = {p: sha256_file(staged[p]) for p in outputs}
+        for temp in staged.values():
+            write_json(f"{temp}.manifest.json", {**manifest, "outputs": digests})
+        if recorded is not None:
+            mismatched = sorted(p for p in {*recorded, *digests} if recorded.get(p) != digests.get(p))
+            if mismatched:
+                _fail("replay outputs differ from the manifest record: " + ", ".join(mismatched))
+                return 1, outputs
+        # a fresh run makes only the mc output directory, once every check
+        # has passed; a replay makes the directory of a file it restores
+        for path, temp in staged.items():
+            if sub == "mc" or recorded is not None:
+                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            for suffix in ("", ".manifest.json"):
+                if recorded is None or not os.path.exists(path + suffix):
+                    shutil.copyfile(temp + suffix, path + suffix)
+    return code, outputs
 
 
 def _cmd_replay(args) -> int:
@@ -626,42 +647,31 @@ def _cmd_replay(args) -> int:
     if sub not in _EXEC:
         raise InvalidParameter(f"{args.manifest}: manifest subcommand {sub!r} is not replayable")
     recorded = man.get("outputs", {})
-    # an original that no longer matches the record is reported before
-    # anything runs
-    modified = [
-        path for path, digest in sorted(recorded.items())
-        if os.path.exists(path) and sha256_file(path) != digest
-    ]
-    if modified:
-        _fail("original modified since the manifest was written: " + ", ".join(modified))
-        return 1
-    # The run writes into a scratch directory, so that no recorded path,
-    # edited or not, is written before the digests match. The recorded input
-    # digests ride along so the regenerated sidecars match the original ones
-    # byte for byte; an analysis also refuses to replay over an input file
-    # whose digest changed.
-    with tempfile.TemporaryDirectory() as scratch:
-        try:
-            code, _, written, digests = _run(
-                sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs, scratch
-            )
-        except KeyError as exc:
-            raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
-        except InvalidParameter as exc:
-            # a fresh run refuses a bad parameter before it writes a manifest,
-            # so in a replay (--jobs aside) the record holds it
-            raise InvalidInput(f"{args.manifest}: {exc}") from None
-        mismatched = sorted(p for p in {*recorded, *digests} if recorded.get(p) != digests.get(p))
-        if mismatched:
-            _fail("replay outputs differ from the manifest record: " + ", ".join(mismatched))
-            return 1
-        # the regeneration matches: a missing original or sidecar gets its
-        # bytes, in a directory made for it if need be
-        for path, temp in written.items():
-            for suffix in ("", ".manifest.json"):
-                if not os.path.exists(path + suffix):
-                    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-                    shutil.copyfile(temp + suffix, path + suffix)
+    # The record's root is the manifest's path less the sidecar name of the
+    # recorded output that it is named after. A manifest named after no
+    # relative output inside its root keeps the working directory.
+    parts = os.path.normpath(args.manifest).split(os.sep)
+    root = "."
+    for path in recorded:
+        tail = f"{os.path.normpath(path)}.manifest.json".split(os.sep)
+        if not os.path.isabs(path) and ".." not in tail and parts[-len(tail):] == tail:
+            root = os.sep.join(parts[: -len(tail)] + [""]) or "."
+    cwd = os.getcwd()
+    os.chdir(root)
+    # the recorded input digests ride along: the sidecars match byte for
+    # byte, and an analysis refuses an input whose digest changed
+    try:
+        code = _run(
+            sub, dict(man["parameters"]), dict(man.get("inputs", {})), args.jobs, recorded
+        )[0]
+    except KeyError as exc:
+        raise InvalidInput(f"{args.manifest}: manifest parameters lack the {exc} key") from None
+    except InvalidParameter as exc:
+        # a fresh run refuses a bad parameter before it writes a manifest,
+        # so in a replay (--jobs aside) the record holds it
+        raise InvalidInput(f"{args.manifest}: {exc}") from None
+    finally:
+        os.chdir(cwd)
     if code == EXIT_OK:
         print(f"replay ok: {len(recorded)} recorded output(s) byte-identical")
     return code

@@ -176,7 +176,7 @@ def fit_loglog(points, divisor: float) -> ScalingFit:
     uy = ly - my
     sxx = float(ux @ ux)
     if sxx == 0.0:
-        raise InvalidInput("abscissa values are all identical")
+        raise InvalidInput("log abscissa values do not vary")
     slope = float(ux @ uy) / sxx
     intercept = float(my - slope * mx)
     resid = uy - slope * ux

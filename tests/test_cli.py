@@ -620,6 +620,29 @@ def test_generator_v1_records_replay_byte_for_byte(tmp_path, monkeypatch, capsys
     assert _contents(files) == before
 
 
+def test_generator_v1_records_replay_from_outside_their_directory(tmp_path, monkeypatch, capsys):
+    # each record resolves against its own root, so a replay from another
+    # working directory reads the tree it names and writes no file at all:
+    # every name, byte and modification time stays as it was
+    shutil.copytree(V1_RECORDS, tmp_path / "v1")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+
+    def snapshot():
+        return {
+            p: (p.is_file() and p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(tmp_path.rglob("*"))
+        }
+
+    before = snapshot()
+    manifests = sorted((tmp_path / "v1").rglob("*.manifest.json"))
+    assert len(manifests) == 10
+    for manifest in manifests:
+        assert main(["replay", os.path.relpath(manifest)]) == 0, manifest
+    assert "replay ok" in capsys.readouterr().out
+    assert snapshot() == before
+
+
 def test_fresh_runs_record_the_current_generator(tmp_path):
     cfg = _write(tmp_path / "g.cfg", GEN_CFG)
     series = str(tmp_path / "pair.csv")
@@ -766,7 +789,7 @@ def test_replay_compares_what_its_own_run_wrote(tmp_path, capsys, monkeypatch):
 def test_replay_of_an_edited_record_writes_nothing(
     tmp_path, capsys, monkeypatch, key, value, differ
 ):
-    # the replay regenerates into a scratch directory: a record whose seed
+    # the replay stages what it regenerates: a record whose seed
     # was edited used to overwrite pair.csv and its sidecar, and one whose
     # out names another file used to write the pair into that file
     monkeypatch.chdir(tmp_path)
@@ -790,7 +813,7 @@ def test_replay_of_an_edited_record_writes_nothing(
 
 
 def test_replay_restores_a_missing_sidecar(tmp_path, capsys, monkeypatch):
-    # a matching replay copies a missing output or sidecar from its scratch
+    # a matching replay copies a missing output or sidecar from its staging
     # directory and writes nothing else
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "mc.cfg", MC_SINGLE_CFG)
@@ -870,6 +893,72 @@ def test_replay_refuses_a_suite_record_whose_configs_were_edited(tmp_path, capsy
         "that its length, replications, master_seed and generator rebuild\n"
     )
     assert _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file())) == before
+
+
+def test_replay_returns_to_the_working_directory(tmp_path, capsys, monkeypatch):
+    # a replay works from its record's root and returns to the working
+    # directory it started in, whatever its exit code
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    monkeypatch.chdir(a)
+    _write(a / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    assert main(["dcca", "pair.csv", "--out", "r.json"]) == 0
+    assert main(["rho", "pair.csv", "--out", "rho.json"]) == 0
+    monkeypatch.chdir(b)
+    cwd = os.getcwd()
+
+    def replay(record):
+        code = main(["replay", os.path.join("..", "a", f"{record}.manifest.json")])
+        assert os.getcwd() == cwd
+        assert os.listdir(b) == []
+        return code
+
+    assert replay("r.json") == 0
+    with open(a / "r.json", "ab") as fh:
+        fh.write(b" ")
+    assert replay("r.json") == 1
+    with open(a / "pair.csv", "a") as fh:
+        fh.write("1024,0.0,0.0\n")
+    assert replay("rho.json") == 2
+    os.remove(a / "pair.csv")
+    assert replay("rho.json") == 3
+    err = capsys.readouterr().err
+    assert "original modified since the manifest was written: r.json" in err
+    assert "pair.csv: content changed since the manifest was written" in err
+    assert "No such file or directory: 'pair.csv'" in err
+
+
+def test_replay_of_a_record_named_after_no_relative_output_uses_the_working_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # a renamed manifest and a record of an absolute --out have no root of
+    # their own: their relative paths resolve against the working directory
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "g.cfg", GEN_CFG)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    os.mkdir("records")
+    shutil.copy("pair.csv.manifest.json", os.path.join("records", "renamed.json"))
+    out = str(tmp_path / "r.json")
+    assert main(["dcca", "pair.csv", "--out", out]) == 0
+
+    def every_file():
+        return _contents(sorted(p for p in tmp_path.rglob("*") if p.is_file()))
+
+    before = every_file()
+    capsys.readouterr()
+    assert main(["replay", os.path.join("records", "renamed.json")]) == 0
+    assert main(["replay", f"{out}.manifest.json"]) == 0
+    assert every_file() == before
+    # from another directory the absolute output is found, the relative
+    # input is not
+    os.mkdir("b")
+    monkeypatch.chdir("b")
+    assert main(["replay", f"{out}.manifest.json"]) == 3
+    assert "No such file or directory: 'pair.csv'" in capsys.readouterr().err
+    assert os.listdir(".") == []
+    assert every_file() == before
 
 
 # =========================================================================

@@ -6,7 +6,8 @@ path-like strings on purpose, and list entries may repeat, since these are
 the inputs a hand-picked case misses. The analysis test runs one analysis
 subcommand on a 512-row file with options drawn from the subcommand's own
 parser, ``--out`` naming the input itself among them, and replays what the
-run wrote.
+run wrote. The sibling-directory tests run ``generate``, ``dcca`` and both
+``mc`` modes in one directory and replay each record from two others.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -201,3 +203,72 @@ def test_analysis_exit_code_outputs_and_replay_follow_the_contract(run):
         # the sidecar replays with the run's exit code and changes no byte
         assert main(["replay", f"{out}.manifest.json"]) == code
         assert _tree(root) == after
+
+
+# =========================================================================
+# replay from another directory
+# =========================================================================
+
+CONFIGS = {
+    "g.cfg": "length = 512\nseed = 3\nspec.d1 = 0.3\nspec.d3 = 0.3\nsigma.13 = 0.5\n",
+    "mc.cfg": (
+        "mc.lengths = 512\nmc.replications = 2\nmc.estimators = dfa, dcca\n"
+        "mc.master_seed = 71\nmc.label = smoke\nspec.d1 = 0.2\nspec.d3 = 0.2\nsigma.13 = 0.5\n"
+    ),
+    "suite.cfg": "mc.suite = standard-regimes\nmc.length = 1024\nmc.replications = 2\n",
+}
+
+# Each run as its command line, the output whose sidecar is replayed and the
+# files removed one after another before the later replays.
+SIBLING_RUNS = {
+    "generate": (["generate", "g.cfg", "--out", "pair.csv"], "pair.csv", ["pair.csv"]),
+    "dcca": (
+        ["dcca", "pair.csv", "--out", os.path.join("out", "r.json")],
+        os.path.join("out", "r.json"),
+        [os.path.join("out", "r.json")],
+    ),
+    "mc-single": (
+        ["mc", "mc.cfg", "--out-dir", "runs"],
+        os.path.join("runs", "smoke.json"),
+        [os.path.join("runs", "smoke.json"), os.path.join("runs", "summary.json.manifest.json")],
+    ),
+    "mc-suite": (
+        ["mc", "suite.cfg", "--out-dir", "suite"],
+        os.path.join("suite", "summary.json"),
+        [os.path.join("suite", "summary.json"), os.path.join("suite", "heavy-tail.json.manifest.json")],
+    ),
+}
+
+
+@pytest.mark.parametrize("where", ["b", os.path.join("c", "sub")])
+@pytest.mark.parametrize("run", sorted(SIBLING_RUNS))
+def test_a_record_replays_from_another_directory_writing_only_restorations(
+    tmp_path, monkeypatch, capsys, run, where
+):
+    # A record resolves every relative path against its own root, the
+    # directory of its sidecar less the recorded output's directory part. A
+    # replay from a sibling directory used to fail to find an analysis's input
+    # and to "restore" a generate or mc record into the working directory.
+    argv, output, removed = SIBLING_RUNS[run]
+    a = tmp_path / "a"
+    (a / "out").mkdir(parents=True)
+    (tmp_path / where).mkdir(parents=True)
+    for name, text in CONFIGS.items():
+        (a / name).write_text(text)
+    monkeypatch.chdir(a)
+    assert main(["generate", "g.cfg", "--out", "pair.csv"]) == 0
+    assert main(argv) == 0
+    original = _tree(tmp_path)
+    monkeypatch.chdir(tmp_path / where)
+    # a relative manifest path from b, an absolute one from c/sub
+    sidecar = a / f"{output}.manifest.json"
+    manifest = os.path.relpath(sidecar) if where == "b" else str(sidecar)
+    for path in [None, *removed]:
+        if path is not None:
+            os.remove(a / path)
+        capsys.readouterr()
+        assert main(["replay", manifest]) == 0, path
+        assert "replay ok" in capsys.readouterr().out
+        # every original keeps its bytes, a removed file is back and no
+        # other file or directory appeared
+        assert _tree(tmp_path) == original, path
