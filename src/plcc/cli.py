@@ -55,6 +55,7 @@ from .fileio import (
     parse_config,
     read_manifest,
     read_series_csv,
+    read_text,
     sha256_file,
     spec_config_keys,
     spec_from_config,
@@ -95,8 +96,7 @@ def _read_config(path: str, allowed: set[str]) -> tuple[dict, dict]:
 
     Keys outside ``allowed`` and the generator spec keys are refused.
     """
-    with open(path) as fh:
-        cfg = parse_config(fh.read(), source=path)
+    cfg = parse_config(read_text(path), source=path)
     unknown = sorted(set(cfg) - allowed - spec_config_keys(cfg))
     if unknown:
         raise InvalidInput(f"{path}: unknown keys: {', '.join(unknown)}")
@@ -375,13 +375,14 @@ _ANALYZE_FN = {
 # What each recorded top-level parameter of any subcommand must be. The
 # parser gives a fresh run these types; a replay reads them from a record
 # that may not hold them. An integer path would be opened as a file
-# descriptor.
+# descriptor, and no file name holds a NUL.
+_PATH = ("a string without NUL", lambda v: isinstance(v, str) and "\0" not in v)
 _PARAMETER_TYPES = {
     "length": ("an integer", is_integer),
     "seed": ("an integer", is_integer),
-    "input": ("a string", lambda v: isinstance(v, str)),
-    "out": ("a string", lambda v: isinstance(v, str)),
-    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "input": _PATH,
+    "out": _PATH,
+    "out_dir": _PATH,
     "output": ("'pair' or 'x'", lambda v: v in ("pair", "x")),
     "min_rows": ("an integer", is_integer),
     "order": ("an integer", is_integer),
@@ -489,11 +490,11 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
     for label in (c.label for c in configs):
         # the result document is <label>.json in out_dir, beside summary.json
         if not isinstance(label, str) or label in ("", "summary") or label[:1] == "." or any(
-            sep and sep in label for sep in ("/", os.sep, os.altsep)
+            sep and sep in label for sep in ("/", os.sep, os.altsep, "\0")
         ):
             raise InvalidParameter(
                 f"mc.label {label!r} must name a file in the output directory: not empty, "
-                "not 'summary', no leading '.' and no path separator"
+                "not 'summary', no leading '.', no path separator and no NUL"
             )
     results = [run_experiment(c, jobs=jobs) for c in configs]
     if all({"dfa", "dcca"} <= set(c.estimators) for c in configs):
@@ -765,7 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
+    # numpy's overflow warnings would only repeat the InvalidInput that the
+    # statistics raise for finite values too large to square
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.showwarning = _show_warning
         # an estimation failure never escapes a handler: an analysis writes
         # its partial document and returns 4, mc records a missing sample

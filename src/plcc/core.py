@@ -1,4 +1,5 @@
-"""Series validation, the partial-sum profile and log-log scaling fits.
+"""Series validation, the partial-sum profile and the one rule that reads
+every exponent (:func:`fit_positive`): fit the positive ordinates, or fail.
 
 Everything in this module is a pure function of its inputs: no global state,
 no random number generation.
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidParameter, NonPositiveOrdinate
+from .errors import EstimationFailed, InvalidInput, InvalidParameter, NonPositiveOrdinate
 
 __all__ = ["ScalingFit", "series_values", "profile", "fit_loglog"]
 
@@ -140,7 +141,7 @@ def fit_loglog(points, divisor: float) -> ScalingFit:
     ----------
     points : sequence of (abscissa, ordinate) pairs
         Both coordinates strictly positive; at least 3 points. The fit never
-        rectifies or drops values, callers own any abs/drop policy.
+        rectifies or drops values; :func:`fit_positive` drops them.
     divisor : float
         The reported ``exponent`` is the OLS slope divided by this value and
         ``stderr`` is the slope's standard error divided by ``|divisor|``.
@@ -195,3 +196,15 @@ def fit_loglog(points, divisor: float) -> ScalingFit:
         r_squared=r_squared,
         range_used=(float(a.min()), float(a.max())),
     )
+
+
+def fit_positive(abscissa, ordinates, divisor: float, min_points: int) -> tuple[ScalingFit, int]:
+    """:func:`fit_loglog` over the points with a positive ordinate, and how many
+    were dropped; fewer than ``min_points`` of them fail the estimate."""
+    o = np.asarray(ordinates, dtype=float)
+    keep = o > 0
+    n = int(np.count_nonzero(keep))
+    if n < min_points:
+        raise EstimationFailed(f"only {n} positive ordinates; need {min_points}")
+    points = np.column_stack([np.asarray(abscissa, dtype=float)[keep], o[keep]])
+    return fit_loglog(points, divisor), o.size - n

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (
     ScalingFit,
-    fit_loglog,
+    fit_positive,
     is_constant,
     is_integer,
     profile,
@@ -26,7 +26,6 @@ from .core import (
 )
 from .errors import (
     DegenerateInput,
-    EstimationFailed,
     InvalidInput,
     InvalidParameter,
     SeriesTooShort,
@@ -156,6 +155,7 @@ def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
 
 
 _ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
+_OVERFLOW = "detrended statistics overflow: rescale the series"
 
 
 class JointFluctuations:
@@ -172,8 +172,9 @@ class JointFluctuations:
     :meth:`beta`) turn the curves into the detrended statistics. An
     undefined statistic does not stop the pass: reading a curve of a
     constant side (all observations equal) raises :class:`DegenerateInput`,
-    and every curve raises when the grid does not fit the series length, so
-    the other side of a pair stays readable.
+    reading one whose values are too large to square raises
+    :class:`InvalidInput`, and every curve raises when the grid does not fit
+    the series length, so the other side of a pair stays readable.
     """
 
     def __init__(self, x, y, cfg: DetrendConfig):
@@ -221,6 +222,14 @@ class JointFluctuations:
                 np.add.reduce(product, axis=1, out=rows[j])
             rows /= s
             curves[:, i] = np.add.reduce(rows, axis=1) / rows.shape[1]
+        # Finite values can still overflow when squared: a side whose
+        # variance curve is not finite is undefined, as a constant side is.
+        # The cross curve is bounded by the two (Cauchy-Schwarz).
+        finite = np.isfinite(curves[:2]).all(axis=1)
+        if not finite[0]:
+            self._error_x = InvalidInput(_OVERFLOW)
+        if not finite[-1]:
+            self._error_y = InvalidInput(_OVERFLOW)
         curves.flags.writeable = False
         if py is None:
             self._fxx = self._fyy = self._fxy = curves[0]
@@ -277,7 +286,10 @@ class JointFluctuations:
         fxx, fyy = self._fxx, self._fyy
         if np.any(fxx <= 0) or np.any(fyy <= 0):
             raise DegenerateInput("zero detrended variance at some scale")
-        return np.clip(fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
+        product = fxx * fyy
+        if not np.isfinite(product).all():
+            raise InvalidInput(_OVERFLOW)
+        return np.clip(fxy / np.sqrt(product), -1.0, 1.0)
 
     def beta(self) -> np.ndarray:
         """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses.
@@ -287,7 +299,10 @@ class JointFluctuations:
         fxy = self.fxy
         if np.any(self._fxx <= 0):
             raise DegenerateInput("zero detrended variance of the regressor at some scale")
-        return fxy / self._fxx
+        beta = fxy / self._fxx
+        if not np.isfinite(beta).all():
+            raise InvalidInput(_OVERFLOW)
+        return beta
 
 
 # =========================================================================
@@ -295,21 +310,13 @@ class JointFluctuations:
 # =========================================================================
 
 
-def _fit_scaling(scales, values, divisor: float, min_points: int = 3) -> ScalingFit:
+def _fit_scaling(scales, values, divisor: float) -> ScalingFit:
     """Log-log fit of |values| vs scales with sign-flip and drop accounting."""
     vals = np.asarray(values, dtype=float)
     sign_flips = int(np.count_nonzero(vals < 0))
     signs = np.sign(vals[vals != 0])
     sign_changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    mag = np.abs(vals)
-    keep = mag > 0
-    dropped = int(vals.size - np.count_nonzero(keep))
-    if int(np.count_nonzero(keep)) < min_points:
-        raise EstimationFailed(
-            f"only {int(np.count_nonzero(keep))} usable points after dropping "
-            f"non-positive values; need {min_points}"
-        )
-    fit = fit_loglog(np.column_stack([np.asarray(scales)[keep], mag[keep]]), divisor)
+    fit, dropped = fit_positive(scales, np.abs(vals), divisor, 3)
     return dataclasses.replace(
         fit,
         diagnostics={

@@ -97,6 +97,8 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """
     try:
         data = _parse_numeric(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     except (ValueError, csv.Error):
         data = None
     if data is None:
@@ -165,6 +167,27 @@ def _read_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
         except ValueError as exc:
             raise InvalidInput(f"{path}: line {line_no}: {exc}") from None
     return xs, ys
+
+
+# =========================================================================
+# Text files
+# =========================================================================
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> InvalidInput:
+    return InvalidInput(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, such as a config file or a manifest.
+
+    A file that does not decode is refused as :class:`InvalidInput`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 # =========================================================================
@@ -363,11 +386,10 @@ _MANIFEST_FIELDS = {"subcommand": str, "parameters": dict, "inputs": dict, "outp
 
 def read_manifest(path) -> dict:
     """A manifest document whose fields have the types replay reads."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path}: manifest is not a JSON object")
     for field in ("tool", "subcommand", "parameters"):

@@ -16,11 +16,9 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import ScalingFit, fit_loglog, require_positive, series_values
+from .core import ScalingFit, fit_positive, require_positive, series_values
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
-from .errors import EstimationFailed, PlccError
+from .errors import PlccError
 from .spectral import coherency, resolve_n_freqs, validate_bandwidth
 
 __all__ = [
@@ -39,18 +37,9 @@ REGIME_ANTI_COINTEGRATION = "anti-cointegration"
 REGIME_INFEASIBLE = "infeasible-flag"
 
 
-def _fit_power_decay(abscissa, ordinates, divisor: float, min_points: int = 5) -> ScalingFit:
+def _fit_power_decay(abscissa, ordinates, divisor: float) -> ScalingFit:
     """Shared OLS core of both decay channels: drop zeros, fit, divide."""
-    a = np.asarray(abscissa, dtype=float)
-    o = np.asarray(ordinates, dtype=float)
-    keep = o > 0
-    dropped = int(o.size - np.count_nonzero(keep))
-    if int(np.count_nonzero(keep)) < min_points:
-        raise EstimationFailed(
-            f"only {int(np.count_nonzero(keep))} positive ordinates survive; "
-            f"need {min_points}"
-        )
-    fit = fit_loglog(np.column_stack([a[keep], o[keep]]), divisor)
+    fit, dropped = fit_positive(abscissa, ordinates, divisor, 5)
     return dataclasses.replace(fit, diagnostics={"dropped_zero": dropped})
 
 

@@ -14,10 +14,9 @@ import math
 
 import numpy as np
 
-from .core import ScalingFit, fit_loglog, is_constant, is_integer, series_values
+from .core import ScalingFit, fit_positive, is_constant, is_integer, series_values
 from .errors import (
     DegenerateInput,
-    EstimationFailed,
     InvalidInput,
     InvalidParameter,
     SeriesTooShort,
@@ -32,6 +31,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_OVERFLOW = "spectral ordinates overflow: rescale the series"
 
 
 # =========================================================================
@@ -75,6 +75,8 @@ def _cross_parts(dx: np.ndarray, dy: np.ndarray, t: int) -> tuple[np.ndarray, np
     norm = _TWO_PI * t
     re = dx.real * dy.real + dx.imag * dy.imag
     im = dx.imag * dy.real - dx.real * dy.imag
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InvalidInput(_OVERFLOW)
     return re / norm, im / norm
 
 
@@ -146,6 +148,9 @@ def coherency(x, y, bandwidth: int = 11) -> tuple[np.ndarray, np.ndarray]:
     sy = _flat_smooth(_cross_parts(dy, dy, t)[0], b)
     num = sre**2 + sim**2
     den = sx * sy
+    # num <= den (Cauchy-Schwarz), so a finite den leaves no NaN ratio
+    if not np.isfinite(den).all():
+        raise InvalidInput(_OVERFLOW)
     k2 = np.zeros_like(num)
     live = den > 0
     k2[live] = num[live] / den[live]
@@ -172,12 +177,7 @@ def resolve_n_freqs(n_freqs, length: int) -> int:
 
 def _memory_fit(freqs: np.ndarray, ordinates: np.ndarray) -> ScalingFit:
     """H = (1 - slope) / 2 from an OLS fit of log ordinates on log frequency."""
-    ords = np.asarray(ordinates, dtype=float)
-    keep = ords > 0
-    dropped = int(ords.size - np.count_nonzero(keep))
-    if int(np.count_nonzero(keep)) < 3:
-        raise EstimationFailed("fewer than 3 positive ordinates in the regression band")
-    fit = fit_loglog(np.column_stack([freqs[keep], ords[keep]]), divisor=-2.0)
+    fit, dropped = fit_positive(freqs, ordinates, -2.0, 3)
     return dataclasses.replace(
         fit,
         exponent=0.5 + fit.exponent,

@@ -146,6 +146,28 @@ def test_missing_files_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("bad.cfg", GEN_CFG.encode() + b"# caf\xe9\n", ["generate", "bad.cfg", "--out", "p.csv"]),
+        ("bad.csv", b"t,x,y\n0,1,2\n1,\xff,3\n", ["dcca", "bad.csv", "--min-rows", "1"]),
+        ("bad.json", b'{"tool": "plcc", "subcommand": "dcca\xff"}', ["replay", "bad.json"]),
+    ],
+    ids=["config", "csv", "manifest"],
+)
+def test_undecodable_text_is_a_usage_error_naming_the_file(
+    tmp_path, capsys, monkeypatch, name, content, argv
+):
+    # a byte that is not UTF-8 used to escape as a UnicodeDecodeError
+    # traceback with exit 1, the code of a replay that found a difference
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"plcc: error: {name}: not UTF-8 text (") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == [name]
+
+
 def test_generate_into_a_missing_directory_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path / "g.cfg", GEN_CFG)
     assert main(["generate", cfg, "--out", str(tmp_path / "nowhere" / "p.csv")]) == 3
@@ -295,6 +317,37 @@ def test_report_makes_one_fluctuation_pass(tmp_path, pair_csv, monkeypatch):
     jf = JointFluctuations(x, y, cfg)
     want = list(zip(jf.scales.tolist(), jf.rho().tolist()))
     assert list(zip(doc["scales"], doc["values"])) == want
+
+
+_NOISE = np.random.default_rng(5).standard_normal((2, 512))
+OVERFLOWING = {
+    "times-1e160": tuple(_NOISE * 1e160),
+    "plus-minus-1e308": tuple(np.copysign(1e308, _NOISE)),
+}
+
+
+@pytest.mark.parametrize("values", sorted(OVERFLOWING))
+@pytest.mark.parametrize("sub", ["dfa", "dcca", "rho", "beta", "coherency", "hrho", "report"])
+def test_finite_input_whose_moments_overflow_is_refused(tmp_path, capsys, sub, values):
+    # finite values whose squares (or whose sum) overflow used to reach the
+    # JSON writer as NaN and exit 1; the report keeps a finite partial
+    # document with every channel failed
+    x, y = OVERFLOWING[values]
+    series = str(tmp_path / "big.csv")
+    write_series_csv(series, *((x,) if sub == "dfa" else (x, y)))
+    out = str(tmp_path / "big.json")
+    code = main([sub, series, "--out", out])
+    err = capsys.readouterr().err
+    if sub == "report":
+        assert code == 4
+        doc = json.load(open(out))
+        assert list(doc["channels"].values()) == [None] * 5
+        assert "overflow: rescale the series" in doc["error"]
+    else:
+        assert code == 2
+        assert err.startswith("plcc: error: ") and err.endswith("overflow: rescale the series\n")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["big.csv"]
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])
@@ -519,7 +572,7 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         (suite, [], {"generator": True}, "generator must be 1 or 2, got True"),
         # where a run writes: an integer would be opened as a file
         # descriptor, and any output other than "x" used to mean a pair
-        ("pair.csv", [], {"out": 1}, "manifest parameter 'out' must be a string, got 1"),
+        ("pair.csv", [], {"out": 1}, "manifest parameter 'out' must be a string without NUL, got 1"),
         ("pair.csv", [], {"output": "y"},
          "manifest parameter 'output' must be 'pair' or 'x', got 'y'"),
         # a float would be generated with and written back to the record
@@ -528,7 +581,14 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("pair.csv", [], {"seed": 3.0}, "manifest parameter 'seed' must be an integer, got 3.0"),
         ("pair.csv", ["spec"], {"truncation": 2048.0},
          "truncation must be an integer >= 1, got 2048.0"),
-        (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string, got 7"),
+        (mc, [], {"out_dir": 7}, "manifest parameter 'out_dir' must be a string without NUL, got 7"),
+        # no file name holds a NUL; opening one used to raise ValueError
+        ("fit.json", [], {"input": "pair\0.csv"},
+         "manifest parameter 'input' must be a string without NUL, got 'pair\\x00.csv'"),
+        ("pair.csv", [], {"out": "pair\0.csv"},
+         "manifest parameter 'out' must be a string without NUL, got 'pair\\x00.csv'"),
+        (mc, [], {"out_dir": "ru\0ns"},
+         "manifest parameter 'out_dir' must be a string without NUL, got 'ru\\x00ns'"),
         (suite, [], {"tolerance": "0.1"}, "manifest parameter 'tolerance' must be a number, got '0.1'"),
         # JSON writes an infinite number as Infinity; rendering the rewritten
         # record would fail after the outputs had been overwritten
@@ -538,7 +598,10 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         # a fresh run refuses these before any replication, and so does a replay
         (mc, ["config_echo"], {"label": "../escaped"},
          "mc.label '../escaped' must name a file in the output directory: not empty, "
-         "not 'summary', no leading '.' and no path separator"),
+         "not 'summary', no leading '.', no path separator and no NUL"),
+        (mc, ["config_echo"], {"label": "a\0b"},
+         "mc.label 'a\\x00b' must name a file in the output directory: not empty, "
+         "not 'summary', no leading '.', no path separator and no NUL"),
         (mc, ["config_echo"], {"estimators": ["dfa", "dcca", "dfa"]},
          "estimators must not repeat an entry, got ['dfa', 'dcca', 'dfa']"),
     ):
@@ -574,8 +637,8 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
         ("bandwidth", True, "an integer"),
         ("n_freqs", "20", "an integer or null"),
         ("scales", 16, "a string or null"),
-        ("input", 0, "a string"),
-        ("out", 7, "a string"),
+        ("input", 0, "a string without NUL"),
+        ("out", 7, "a string without NUL"),
     ],
 )
 def test_replay_refuses_analysis_parameters_of_the_wrong_type(
@@ -999,11 +1062,12 @@ def test_mc_single_experiment(tmp_path, capsys):
         assert sha256_file(path) == digest
 
 
-@pytest.mark.parametrize("label", ["summary", "../escaped", "a/b", "", ".hidden"])
+@pytest.mark.parametrize("label", ["summary", "../escaped", "a/b", "", ".hidden", "a\0b"])
 def test_mc_refuses_a_label_that_is_not_a_file_name(tmp_path, capsys, monkeypatch, label):
     # the result document is <label>.json in --out-dir: a label that would
     # overwrite the summary, leave the directory, need a subdirectory or
-    # hide the document is refused before any replication, writing nothing
+    # hide the document, or hold a NUL that no file name holds, is refused
+    # before any replication, writing nothing
     monkeypatch.setattr("plcc.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
     work = tmp_path / "work"
     work.mkdir()

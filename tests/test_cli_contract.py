@@ -3,11 +3,15 @@
 Each example works in a fresh temporary directory. The ``mc`` test writes a
 config, runs it and replays what the run wrote; labels are drawn from
 path-like strings on purpose, and list entries may repeat, since these are
-the inputs a hand-picked case misses. The analysis test runs one analysis
-subcommand on a 512-row file with options drawn from the subcommand's own
-parser, ``--out`` naming the input itself among them, and replays what the
-run wrote. The sibling-directory tests run ``generate``, ``dcca`` and both
-``mc`` modes in one directory and replay each record from two others.
+the inputs a hand-picked case misses. The config test edits a small valid
+``generate``, ``mc`` or suite config with keys drawn from what the command
+line reads and unknown ones, and with values drawn on purpose from path-like
+strings, a NUL, a byte that is not UTF-8 and numbers whose squares overflow.
+The analysis test runs one analysis subcommand on a 512-row file with
+options drawn from the subcommand's own parser, ``--out`` naming the input
+itself among them, and replays what the run wrote. The sibling-directory
+tests run ``generate``, ``dcca`` and both ``mc`` modes in one directory and
+replay each record from two others.
 """
 
 import argparse
@@ -22,8 +26,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from plcc.arfima import generate_mc_arfima
-from plcc.cli import build_parser, main
-from plcc.fileio import spec_from_config, write_series_csv
+from plcc.cli import _GENERATE_KEYS, _SINGLE_KEYS, _SUITE_KEYS, build_parser, main
+from plcc.fileio import _SPEC_KEYS, spec_from_config, write_series_csv
 
 LABELS = ["summary", "../x", "a/b", ".h", "", "smoke", "run_1"]
 
@@ -99,6 +103,114 @@ def test_mc_exit_code_and_outputs_follow_the_contract(label, lengths, estimators
 
 
 # =========================================================================
+# config files
+# =========================================================================
+
+# Small valid configs of each kind, written to ``cfg`` in the working
+# directory and run by the command line after them.
+CONFIG_RUNS = {
+    "generate": (
+        {"length": "512", "seed": "3", "spec.d1": "0.3", "spec.d3": "0.3", "sigma.13": "0.5"},
+        ["generate", "cfg", "--out", "pair.csv"],
+    ),
+    "mc": (
+        {
+            "mc.lengths": "256", "mc.replications": "2", "mc.estimators": "dfa, dcca",
+            "mc.master_seed": "5", "mc.label": "smoke", "spec.d1": "0.2", "spec.d3": "0.2",
+        },
+        ["mc", "cfg", "--out-dir", "out"],
+    ),
+    "suite": (
+        {"mc.suite": "standard-regimes", "mc.length": "1024", "mc.replications": "2"},
+        ["mc", "cfg", "--out-dir", "out"],
+    ),
+}
+# The keys each kind reads; any of them, or an unknown key, may be drawn.
+READS = {
+    "generate": _GENERATE_KEYS | set(_SPEC_KEYS) | {"sigma.13"},
+    "mc": _SINGLE_KEYS | set(_SPEC_KEYS) | {"sigma.13"},
+    "suite": _SUITE_KEYS,
+}
+CONFIG_KEYS = sorted(set().union(*READS.values()) | {"spam", "mc.spam"})
+# Values a key accepts, kept cheap (a few replications of short series), and
+# hostile values drawn for every key: path-like strings, a NUL, a byte that
+# is not UTF-8 and numbers whose squares overflow.
+FITTING = {
+    "length": [b"300", b"512"], "seed": [b"0", b"7"], "output": [b"x", b"pair"],
+    **dict.fromkeys(("spec.alpha", "spec.beta", "spec.gamma", "spec.delta"), [b"0.5", b"1e160"]),
+    **dict.fromkeys(("spec.d1", "spec.d2", "spec.d3", "spec.d4"), [b"0.1", b"-0.2", b"0.45"]),
+    "spec.dist": [b"gaussian", b"student-t"], "spec.dof": [b"3", b"5"],
+    "spec.truncation": [b"64", b"2000"], "spec.burn_in": [b"0", b"100"],
+    "sigma.13": [b"0.5", b"-0.3"],
+    "mc.lengths": [b"256", b"256, 300"], "mc.replications": [b"1", b"3"],
+    "mc.estimators": [b"dfa", b"rho, beta, logcross", b"h_rho_time, h_rho_freq"],
+    "mc.master_seed": [b"0", b"9"], "mc.tolerance": [b"0.1"], "mc.label": [b"run_1", b"a b"],
+    "mc.poly_order": [b"0", b"2"], "mc.n_scales": [b"5", b"8"], "mc.n_freqs": [b"8"],
+    "mc.bandwidth": [b"5"], "mc.scale_min": [b"12"], "mc.scale_max": [b"40"],
+    "mc.suite": [b"standard-regimes"], "mc.length": [b"512", b"1024"],
+}
+HOSTILE = [
+    b"", b"-1", b"nan", b"inf", b"../x", b"a/b", b".hidden", b"a\0b", b"caf\xe9", b"1e160",
+    b"-1e160",
+]
+
+
+@st.composite
+def _config_runs(draw):
+    """A kind of run and up to three edits of its config: keys it reads or
+    any other, each set to a value it accepts or to a hostile one."""
+    kind = draw(st.sampled_from(sorted(READS)))
+    key = st.one_of(st.sampled_from(sorted(READS[kind])), st.sampled_from(CONFIG_KEYS))
+    keys = draw(st.lists(key, max_size=3, unique=True))
+    value = lambda k: st.one_of(st.sampled_from(FITTING.get(k, HOSTILE)), st.sampled_from(HOSTILE))
+    return kind, {k: draw(value(k)) for k in keys}
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_config_runs())
+# a NUL label used to run every replication and then fail to copy its
+# document; a byte that is not UTF-8 used to escape as a decoding error
+@example(run=("mc", {"mc.label": b"a\0b"}))
+@example(run=("generate", {"spam": b"caf\xe9"}))
+@example(run=("mc", {"mc.label": b"../x"}))
+@example(run=("generate", {"spec.alpha": b"1e160"}))
+@example(run=("mc", {"spec.alpha": b"1e160", "mc.estimators": b"rho, beta, logcross"}))
+@example(run=("suite", {"mc.length": b"-1e160"}))
+def test_config_exit_code_outputs_and_replay_follow_the_contract(run):
+    kind, edits = run
+    entries, argv = CONFIG_RUNS[kind]
+    entries = {**{k: v.encode() for k, v in entries.items()}, **edits}
+    with tempfile.TemporaryDirectory() as root:
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with open("cfg", "wb") as fh:
+                fh.write(b"".join(k.encode() + b" = " + v + b"\n" for k, v in entries.items()))
+            before = _tree(".")
+            code = main(argv)
+            assert code in (0, 2, 4)
+            event(f"{kind}: exit {code}")
+            after = _tree(".")
+            if code == 2:
+                assert after == before
+                return
+            # the run added its outputs, one sidecar each, and for mc the
+            # directory that holds them
+            sidecars = [p for p in after if p.endswith(".manifest.json")]
+            with open(sidecars[0]) as fh:
+                outputs = json.load(fh)["outputs"]
+            added = {*outputs, *(f"{p}.manifest.json" for p in outputs)}
+            assert set(after) - set(before) == added | ({"out"} if kind != "generate" else set())
+            assert {p: b for p, b in after.items() if p in before} == before
+            # each sidecar replays with the run's exit code and changes no byte
+            for sidecar in sidecars:
+                assert main(["replay", sidecar]) == code
+            assert _tree(".") == after
+        finally:
+            os.chdir(cwd)
+
+
+# =========================================================================
 # analysis subcommands
 # =========================================================================
 
@@ -145,6 +257,9 @@ INPUTS = {
         spec_from_config({"spec.d1": "0.3", "spec.d3": "0.1"}), 512, 8
     ),
     "constant": (_X, np.full(512, 1.5)),
+    # finite values whose squares overflow: refused (exit 2), and every
+    # channel of a report fails (exit 4)
+    "times-1e160": (_X * 1e160, _Y * 1e160),
 }
 
 
@@ -171,6 +286,9 @@ def _analysis_runs(draw):
 @example(run=("dcca", "correlated", {"--out": "input"}))
 @example(run=("dfa", "correlated", {"--out": "./input"}))
 @example(run=("report", "constant", {"--out": "input"}))
+# these exited 1 when a NaN reached the JSON writer
+@example(run=("report", "times-1e160", {}))
+@example(run=("coherency", "times-1e160", {}))
 def test_analysis_exit_code_outputs_and_replay_follow_the_contract(run):
     sub, data, flags = run
     x, y = INPUTS[data]

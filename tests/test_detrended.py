@@ -498,12 +498,33 @@ def test_zero_variance_gates_of_rho_and_beta(xy_pair):
         jf.beta()
 
 
+OVERFLOW = "^detrended statistics overflow: rescale the series$"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_statistics_of_values_too_large_to_square_are_refused(xy_pair):
+    # a finite side whose variance curve overflows is undefined and the
+    # other side stays readable; rho and beta refuse a product or a ratio
+    # of finite curves that overflows
+    x, y, cfg = xy_pair
+    jf = JointFluctuations(x, y * 1e160, cfg)
+    jf.hurst_x()
+    for read in (jf.hurst_y, jf.hxy, jf.rho, jf.beta):
+        with pytest.raises(InvalidInput, match=OVERFLOW):
+            read()
+    with pytest.raises(InvalidInput, match=OVERFLOW):
+        JointFluctuations(x * 1e160, None, cfg).hurst_y()
+    wide = JointFluctuations(x * 1e100, y * 1e100, cfg)
+    wide.hxy()
+    with pytest.raises(InvalidInput, match=OVERFLOW):
+        wide.rho()
+    with pytest.raises(InvalidInput, match=OVERFLOW):
+        JointFluctuations(x * 1e-160, (x + y) * 1e150, cfg).beta()
+
+
 def test_scaling_fit_needs_three_nonzero_values():
     values = np.array([0.0, 2.0, 0.0, 0.0, -5.0])
-    with pytest.raises(
-        EstimationFailed,
-        match="^only 2 usable points after dropping non-positive values; need 3$",
-    ):
+    with pytest.raises(EstimationFailed, match="^only 2 positive ordinates; need 3$"):
         _fit_scaling(np.arange(16.0, 21.0), values, divisor=2.0)
 
 

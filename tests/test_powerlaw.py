@@ -72,7 +72,7 @@ def test_decay_fit_needs_five_positive_ordinates():
     # a realized rho or coherency is exactly zero almost never, so the gate
     # is tested on the shared fit
     ordinates = np.array([0.5, 0.0, 0.25, 0.0, 0.1, 0.05, 0.0])
-    with pytest.raises(EstimationFailed, match="^only 4 positive ordinates survive; need 5$"):
+    with pytest.raises(EstimationFailed, match="^only 4 positive ordinates; need 5$"):
         _fit_power_decay(np.arange(1.0, 8.0), ordinates, divisor=4.0)
 
 

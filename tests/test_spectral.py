@@ -300,13 +300,29 @@ def test_error_contract_table():
             assert (type(info.value), str(info.value)) == want, case
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectra_of_values_too_large_to_square_are_refused():
+    # finite values whose ordinates, or whose squared cross ordinates,
+    # overflow used to yield NaN or an all-zero coherency
+    x, y = np.random.default_rng(9).standard_normal((2, 256))
+    message = "^spectral ordinates overflow: rescale the series$"
+    for run in (
+        lambda: periodogram(x * 1e160),
+        lambda: estimate_hxy_logcross(x * 1e160, y * 1e160),
+        lambda: coherency(np.copysign(1e308, x), y),
+        lambda: coherency(x * 1e100, y * 1e100),
+    ):
+        with pytest.raises(InvalidInput, match=message):
+            run()
+    # one side that large is fine where it meets only a unit side
+    estimate_hxy_logcross(x, y * 1e160)
+
+
 def test_memory_fit_needs_three_positive_ordinates():
     # a constant side is refused before any transform, and the periodogram
     # of any other series is exactly zero almost never
     freqs = np.linspace(0.1, 0.5, 5)
-    with pytest.raises(
-        EstimationFailed, match="^fewer than 3 positive ordinates in the regression band$"
-    ):
+    with pytest.raises(EstimationFailed, match="^only 2 positive ordinates; need 3$"):
         _memory_fit(freqs, np.array([1.0, 0.0, 0.0, 2.0, 0.0]))
 
 
