@@ -22,6 +22,9 @@ copies, and only a recorded output or sidecar that is missing.
 Seed resolution for ``generate`` and ``mc``: the ``--seed`` flag wins over
 the ``PLCC_SEED`` environment variable, which wins over the config file.
 ``replay`` uses the seed recorded in the manifest and ignores all three.
+
+The analysis and Monte Carlo layers are imported by the functions that run
+them, so ``generate`` and its replay load neither.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 from . import __version__
 from .arfima import McArfimaSpec, generate_mc_arfima
 from .core import is_integer, require_positive
-from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import (
     EstimationFailed,
     InvalidInput,
@@ -62,14 +64,6 @@ from .fileio import (
     write_json,
     write_series_csv,
 )
-from .montecarlo import (
-    ExperimentConfig,
-    feasibility_sweep,
-    run_experiment,
-    standard_regimes,
-)
-from .powerlaw import coherency_report, h_rho_frequency, rho_decay
-from .spectral import coherency, resolve_n_freqs
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,8 +151,10 @@ def _parse_scales_flag(text: str) -> tuple[int, int, int]:
     return lo, hi, count
 
 
-def _resolve_grid(params: dict, length: int) -> DetrendConfig:
+def _resolve_grid(params: dict, length: int):
     """Build the detrending config, materializing the grid into the params."""
+    from .detrended import DetrendConfig, default_scale_grid
+
     order = params["order"]
     if params.get("scale_grid"):
         grid = np.asarray(params["scale_grid"], dtype=int)
@@ -241,8 +237,10 @@ def _empty_doc(sub: str) -> dict:
     }
 
 
-def _fluctuations(x, y, cfg: DetrendConfig, doc) -> JointFluctuations:
+def _fluctuations(x, y, cfg, doc):
     """The fluctuation pass of a detrended analysis; records its scales in ``doc``."""
+    from .detrended import JointFluctuations
+
     jf = JointFluctuations(x, y, cfg)
     doc["scales"] = [int(s) for s in jf.scales]
     return jf
@@ -288,6 +286,8 @@ def _analyze_beta(x, y, params, doc) -> str | None:
 
 
 def _analyze_coherency(x, y, params, doc) -> str | None:
+    from .spectral import coherency
+
     freqs, values = coherency(x, y, params["bandwidth"])
     if params.get("n_freqs") is not None:
         n = int(params["n_freqs"])
@@ -305,6 +305,9 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
 
 
 def _analyze_hrho(x, y, params, doc) -> str | None:
+    from .powerlaw import h_rho_frequency, rho_decay
+    from .spectral import resolve_n_freqs
+
     cfg = _resolve_grid(params, x.size)
     n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
     jf = _fluctuations(x, y, cfg, doc)
@@ -336,6 +339,9 @@ def _analyze_hrho(x, y, params, doc) -> str | None:
 
 
 def _analyze_report(x, y, params, doc) -> str | None:
+    from .powerlaw import coherency_report
+    from .spectral import resolve_n_freqs
+
     cfg = _resolve_grid(params, x.size)
     n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
     rep = coherency_report(
@@ -465,6 +471,8 @@ def _mc_fields(cfg: dict, readers: dict) -> dict:
 
 
 def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
+    from .montecarlo import ExperimentConfig, feasibility_sweep, run_experiment, standard_regimes
+
     out_dir = params["out_dir"]
     tolerance = require_positive("tolerance", params["tolerance"])
     if params["mode"] == "suite":
@@ -511,6 +519,8 @@ def _exec_mc(params: dict, inputs: dict, jobs: int) -> tuple:
 
 
 def _cmd_mc(args) -> int:
+    from .montecarlo import ExperimentConfig, standard_regimes
+
     cfg, inputs = _read_config(args.config, _SUITE_KEYS | _SINGLE_KEYS)
     if "mc.suite" in cfg:
         mode, reads, other = "suite", _SUITE_KEYS, "spec keys and single-experiment keys"

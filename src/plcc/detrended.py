@@ -156,6 +156,7 @@ def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
 
 _ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
 _OVERFLOW = "detrended statistics overflow: rescale the series"
+_UNDERFLOW = "detrended statistics underflow: rescale the series"
 
 
 class JointFluctuations:
@@ -289,6 +290,10 @@ class JointFluctuations:
         product = fxx * fyy
         if not np.isfinite(product).all():
             raise InvalidInput(_OVERFLOW)
+        # a product of two positive curves below the smallest normal double
+        # has lost digits, or all of them: the ratio would read +-1 or worse
+        if np.any(product < np.finfo(float).tiny):
+            raise InvalidInput(_UNDERFLOW)
         return np.clip(fxy / np.sqrt(product), -1.0, 1.0)
 
     def beta(self) -> np.ndarray:

@@ -43,13 +43,104 @@ _FLOAT_FMT = "%.17g"
 # CSV series files
 # =========================================================================
 
-# Rows rendered by one ``%`` in write_series_csv: enough to amortise the
-# call, few enough that the argument tuple stays small for any T.
+# Rows rendered as one byte matrix in write_series_csv: enough to amortise
+# the numpy calls, few enough that peak memory does not grow with T.
 _WRITE_BLOCK = 1 << 14
 
 # ASCII separators that numpy strips from a cell as whitespace and float()
 # does not (it strips only ASCII whitespace and maps non-ASCII spaces).
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# The cell kernel. For a finite |v| in [1e-4, 1e16), ``'%.17g' % v`` prints
+# fixed notation: the 17-digit integer D nearest |v| * 10**(16 - X), ties to
+# even, where X = floor(log10 |v|), with the point after digit X, trailing
+# fraction zeros dropped, and "0." plus -X - 1 zeros in front when X < 0.
+# 10**(16 - X) <= 1e20 is an exact double, and Dekker's two-product splits
+# |v| * 10**(16 - X) into p + e exactly, without FMA. Away from the band
+# edges p is an even integer in (1e16, 1e17) and |e| <= 8, so D is
+# p + rint(e): rint's ties go to even, as those of p + e do. Every other cell
+# (0, -0, nan, +-inf, |v| outside the band, p within 4 of 1e16 or within 16
+# of 1e17) is rendered by Python's own ``%``.
+#
+# A cell is rendered into a fixed slot, and NUL bytes are dropped from the
+# whole block at the end, so a slot may hold NUL anywhere. Its layout:
+# ',' sign "0." "000" and then the 17 digits, each of the first 16 followed
+# by a place for the point. A fallback text is at most 24 bytes wide
+# ("-2.2250738585072014e-308") and fits a slot after its ','.
+_SLOT = 7 + 17 + 16
+_POW10 = np.array([float(10**k) for k in range(21)])
+_DIGITS = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_QUADS = _DIGITS.view(np.uint32).ravel()  # the four ASCII digits of 0..9999 as one word
+_TRAILING_ZEROS = (_DIGITS[:, ::-1] == 48).cumprod(axis=1).sum(axis=1)
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_DIGIT_AT = np.arange(17)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _render_cells(out: np.ndarray, v: np.ndarray) -> None:
+    """Render ``v`` as ``,%.17g`` cells into the ``(v.size, _SLOT)`` bytes ``out``."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    # X from the logarithm, corrected by one step
+    exponent = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 15)
+    p = a * _POW10[16 - exponent]
+    exponent = np.clip(exponent + (p >= 1e17) - (p < 1e16), -4, 15)
+    s = _POW10[16 - exponent]
+    ah, al = _split(a)
+    sh, sl = _split(s)
+    p = a * s
+    e = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    fast &= (p > 1e16 + 4) & (p < 1e17 - 16)
+    lead, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10**16)
+    high, low = np.divmod(rest, 10**8)
+    groups = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
+    words = np.empty((v.size, 5), np.uint32)
+    for k, g in enumerate(groups, start=1):
+        words[:, k] = _QUADS[g]
+    digits = words.view(np.uint8)[:, 3:]
+    digits[:, 0] = lead + 48
+    g1, g2, g3, g4 = groups
+    tz = _TRAILING_ZEROS
+    zeros = tz[g4] + (g4 == 0) * (tz[g3] + (g3 == 0) * (tz[g2] + (g2 == 0) * tz[g1]))
+    out[:, 0] = ord(",")
+    out[:, 1] = np.signbit(v) * np.uint8(ord("-"))
+    small = exponent < 0
+    out[:, 2] = small * np.uint8(ord("0"))
+    out[:, 3] = small * np.uint8(ord("."))
+    for k in range(3):
+        out[:, 4 + k] = (exponent < -1 - k) * np.uint8(ord("0"))
+    # integer digits stay; trailing fraction zeros go, and with them a
+    # point that has no fraction digit after it
+    kept = np.maximum(17 - zeros, exponent + 1)
+    np.multiply(digits, _DIGIT_AT < kept[:, None], out=out[:, 7::2])
+    out[:, 8::2] = 0
+    pointed = np.flatnonzero(~small & (exponent < 16 - zeros))
+    out[pointed, 8 + 2 * exponent[pointed]] = ord(".")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join((f",{_FLOAT_FMT}" % f).encode().ljust(_SLOT, b"\0") for f in v[slow].tolist())
+        out[slow] = np.frombuffer(text, np.uint8).reshape(slow.size, _SLOT)
+
+
+def _render_rows(start: int, columns) -> bytes:
+    """The ``t,x[,y]`` rows of samples ``start`` on, as ``%d`` and ``%.17g`` print them."""
+    m = columns[0].size
+    t = np.arange(start, start + m)
+    width = len(str(start + m - 1))
+    rows = np.empty((m, width + _SLOT * len(columns) + 1), np.uint8)
+    for j in range(width):
+        power = 10 ** (width - 1 - j)
+        rows[:, j] = (t // power % 10 + 48) * ((t >= power) | (j == width - 1))
+    for k, v in enumerate(columns):
+        _render_cells(rows[:, width + k * _SLOT : width + (k + 1) * _SLOT], v)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_series_csv(path, x, y=None) -> None:
@@ -57,24 +148,17 @@ def write_series_csv(path, x, y=None) -> None:
 
     The time column is the 0-based sample index. Floats are rendered with 17
     significant digits, which round-trips IEEE doubles exactly, and lines end
-    with LF on every platform.
+    with LF on every platform. The bytes are those of ``'%d,%.17g'`` per row.
     """
     vx = np.asarray(x, dtype=float)
     vy = None if y is None else np.asarray(y, dtype=float)
     if vy is not None and vy.size != vx.size:
         raise InvalidInput(f"series lengths differ: {vx.size} vs {vy.size}")
     columns = [vx] if vy is None else [vx, vy]
-    width = 1 + len(columns)
-    row = "%d" + f",{_FLOAT_FMT}" * len(columns) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x\n" if vy is None else "t,x,y\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,x\n" if vy is None else b"t,x,y\n")
         for start in range(0, vx.size, _WRITE_BLOCK):
-            stop = min(start + _WRITE_BLOCK, vx.size)
-            cells = [None] * ((stop - start) * width)
-            cells[::width] = range(start, stop)
-            for k, v in enumerate(columns, start=1):
-                cells[k::width] = v[start:stop].tolist()
-            fh.write(row * (stop - start) % tuple(cells))
+            fh.write(_render_rows(start, [v[start : start + _WRITE_BLOCK] for v in columns]))
 
 
 def _is_numeric_row(row: list[str]) -> bool:

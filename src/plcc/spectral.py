@@ -32,6 +32,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _OVERFLOW = "spectral ordinates overflow: rescale the series"
+_UNDERFLOW = "spectral ordinates underflow: rescale the series"
+_TINY = np.finfo(float).tiny
 
 
 # =========================================================================
@@ -144,13 +146,24 @@ def coherency(x, y, bandwidth: int = 11) -> tuple[np.ndarray, np.ndarray]:
     b = validate_bandwidth(bandwidth)
     t, (dx, dy) = _dfts(x, y)
     sre, sim = _smoothed_cross(dx, dy, t, b)
-    sx = _flat_smooth(_cross_parts(dx, dx, t)[0], b)
-    sy = _flat_smooth(_cross_parts(dy, dy, t)[0], b)
+    px = _cross_parts(dx, dx, t)[0]
+    py = _cross_parts(dy, dy, t)[0]
+    sx = _flat_smooth(px, b)
+    sy = _flat_smooth(py, b)
     num = sre**2 + sim**2
     den = sx * sy
     # num <= den (Cauchy-Schwarz), so a finite den leaves no NaN ratio
     if not np.isfinite(den).all():
         raise InvalidInput(_OVERFLOW)
+    # Finite values can underflow too: the power of a nonzero transform, or
+    # the product of two positive spectra, below the smallest normal double
+    # has lost digits, or all of them, and the ratio would read 0 or worse
+    if (
+        np.any((px < _TINY) & (dx != 0))
+        or np.any((py < _TINY) & (dy != 0))
+        or np.any((den < _TINY) & (sx > 0) & (sy > 0))
+    ):
+        raise InvalidInput(_UNDERFLOW)
     k2 = np.zeros_like(num)
     live = den > 0
     k2[live] = num[live] / den[live]

@@ -350,6 +350,34 @@ def test_finite_input_whose_moments_overflow_is_refused(tmp_path, capsys, sub, v
         assert sorted(os.listdir(tmp_path)) == ["big.csv"]
 
 
+@pytest.mark.parametrize("sub", ["rho", "coherency", "hrho", "report"])
+def test_finite_input_whose_moment_products_underflow_is_refused(tmp_path, capsys, sub):
+    # at 1e-100 the products of the two variance curves, and of the two
+    # smoothed spectra, round to zero: rho read 1 at every scale and the
+    # coherency 0 at every frequency, with exit 0; the report keeps a finite
+    # partial document with both decay channels failed
+    x, y = _NOISE * 1e-100
+    series = str(tmp_path / "small.csv")
+    write_series_csv(series, x, y)
+    out = str(tmp_path / "small.json")
+    code = main([sub, series, "--out", out])
+    err = capsys.readouterr().err
+    if sub == "report":
+        assert code == 4
+        doc = json.loads(open(out).read(), parse_constant=pytest.fail)
+        assert doc["channels"]["h_rho_time"] is doc["channels"]["h_rho_freq"] is None
+        assert doc["rho_at_max_scale"] is None
+        assert doc["diagnostics"]["failures"] == {
+            "h_rho_freq": "spectral ordinates underflow: rescale the series",
+            "h_rho_time": "detrended statistics underflow: rescale the series",
+        }
+    else:
+        assert code == 2
+        assert err.startswith("plcc: error: ") and err.endswith("underflow: rescale the series\n")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["small.csv"]
+
+
 @pytest.mark.parametrize("constant", ["x", "y"])
 def test_report_with_a_constant_side_keeps_per_channel_outcome(tmp_path, constant):
     # the live side is fitted exactly as on its own; every channel that
@@ -432,8 +460,8 @@ def _raises(message):
 
 
 def test_hrho_records_both_channel_failures_in_order(tmp_path, pair_csv, capsys, monkeypatch):
-    monkeypatch.setattr("plcc.cli.rho_decay", _raises("no time decay"))
-    monkeypatch.setattr("plcc.cli.h_rho_frequency", _raises("no frequency decay"))
+    monkeypatch.setattr("plcc.powerlaw.rho_decay", _raises("no time decay"))
+    monkeypatch.setattr("plcc.powerlaw.h_rho_frequency", _raises("no frequency decay"))
     out = str(tmp_path / "h.json")
     assert main(["hrho", pair_csv, "--out", out]) == 4
     assert "partial result written" in capsys.readouterr().err
@@ -452,7 +480,7 @@ def test_hrho_without_the_frequency_channel_keeps_the_time_channel(
 ):
     whole = str(tmp_path / "whole.json")
     assert main(["hrho", pair_csv, "--out", whole]) == 0
-    monkeypatch.setattr("plcc.cli.h_rho_frequency", _raises("no frequency decay"))
+    monkeypatch.setattr("plcc.powerlaw.h_rho_frequency", _raises("no frequency decay"))
     part = str(tmp_path / "part.json")
     assert main(["hrho", pair_csv, "--out", part]) == 4
     a, b = json.load(open(whole)), json.load(open(part))
@@ -1068,7 +1096,7 @@ def test_mc_refuses_a_label_that_is_not_a_file_name(tmp_path, capsys, monkeypatc
     # overwrite the summary, leave the directory, need a subdirectory or
     # hide the document, or hold a NUL that no file name holds, is refused
     # before any replication, writing nothing
-    monkeypatch.setattr("plcc.cli.run_experiment", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr("plcc.montecarlo.run_experiment", lambda *a, **k: pytest.fail("ran"))
     work = tmp_path / "work"
     work.mkdir()
     cfg = _write(work / "mc.cfg", MC_SINGLE_CFG.replace("mc.label = smoke", f"mc.label = {label}"))

@@ -522,6 +522,20 @@ def test_statistics_of_values_too_large_to_square_are_refused(xy_pair):
         JointFluctuations(x * 1e-160, (x + y) * 1e150, cfg).beta()
 
 
+def test_statistics_whose_products_underflow_are_refused(xy_pair):
+    # at 1e-100 F2_x * F2_y rounds to zero and rho read 1 at every scale;
+    # beta is a plain ratio and stays exact. Scaling by a power of two is
+    # exact, so a pair whose product stays normal keeps every bit.
+    x, y, cfg = xy_pair
+    for scale in (1e-80, 1e-100, 2.0**-300):
+        with pytest.raises(InvalidInput, match="^detrended statistics underflow: rescale the series$"):
+            JointFluctuations(x * scale, y * scale, cfg).rho()
+    jf = JointFluctuations(x, y, cfg)
+    assert np.array_equal(JointFluctuations(x * 2.0**-200, y * 2.0**-200, cfg).rho(), jf.rho())
+    assert np.array_equal(JointFluctuations(x * 2.0**-480, y * 2.0**-480, cfg).beta(), jf.beta())
+    np.testing.assert_allclose(JointFluctuations(x * 1e-150, y * 1e-150, cfg).beta(), jf.beta(), rtol=1e-13)
+
+
 def test_scaling_fit_needs_three_nonzero_values():
     values = np.array([0.0, 2.0, 0.0, 0.0, -5.0])
     with pytest.raises(EstimationFailed, match="^only 2 positive ordinates; need 3$"):

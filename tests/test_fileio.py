@@ -148,6 +148,78 @@ def test_series_csv_bytes_and_roundtrip(tmp_path, cells_x, cells_y, length, pair
         assert back[~nan].tobytes() == orig[~nan].tobytes()
 
 
+def _assert_renders_as_oracle(path, x, y=None):
+    write_series_csv(path, x, y)
+    assert path.read_bytes() == _oracle_bytes(x, y)
+
+
+# Raw bit patterns reach every exponent, both signs, subnormals, the
+# infinities and NaNs with any payload, in the proportions of the format.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300), pair=st.booleans())
+def test_series_csv_renders_any_bit_pattern_as_percent_17g(tmp_path, bits, pair):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_renders_as_oracle(tmp_path / "b.csv", values, values[::-1] if pair else None)
+
+
+def _band_edges() -> np.ndarray:
+    # where the kernel's fast path ends and '%.17g' changes notation or
+    # carries into a new digit: the neighbours of each power of ten, the
+    # values half-way between 17-digit decimals and the subnormals
+    values = [1e-4, 1e16, 0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    for k in range(-5, 18):
+        for start in (10.0**k, float(f"1e{k}")):
+            up = down = start
+            for _ in range(6):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                values += [up, down]
+            values.append(start)
+    halves = np.arange(1, 200) + 0.5
+    for k in range(-20, 18):
+        values += (halves * 10.0**k).tolist()
+        values += ((halves + 10**15) * 10.0**k).tolist()
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_series_csv_renders_the_band_edges_as_percent_17g(tmp_path):
+    edges = _band_edges()
+    _assert_renders_as_oracle(tmp_path / "e.csv", edges)
+    _assert_renders_as_oracle(tmp_path / "p.csv", edges, edges[::-1])
+
+
+@pytest.mark.parametrize("length", [9, 10, 11, 99, 100, 9999, 10000, _WRITE_BLOCK - 1, _WRITE_BLOCK + 1])
+def test_series_csv_index_widths_and_blocks(tmp_path, length):
+    # the time column gains a digit, and the writer a block, at these lengths
+    x, y = np.random.default_rng(length).standard_normal((2, length)) * 1e3
+    _assert_renders_as_oracle(tmp_path / "x.csv", x)
+    _assert_renders_as_oracle(tmp_path / "xy.csv", x, y)
+
+
+# The generator specs that the command line benchmark writes at T = 2^16.
+_LONG_PAIRS = {
+    "standard": {"spec.d1": "0.4", "spec.d3": "0.4", "sigma.13": "0.5"},
+    "anti": {
+        "spec.alpha": "1", "spec.beta": "1", "spec.gamma": "1", "spec.delta": "1",
+        "spec.d1": "0.1", "spec.d2": "0.4", "spec.d3": "0.1", "spec.d4": "0.4",
+        "sigma.13": "0.9",
+    },
+    "heavy": {
+        "spec.d1": "0.4", "spec.d3": "0.4", "sigma.13": "0.5",
+        "spec.dist": "student-t", "spec.dof": "3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_PAIRS))
+def test_series_csv_renders_a_long_pair_as_percent_17g(tmp_path, name):
+    from plcc.arfima import generate_mc_arfima
+
+    x, y = generate_mc_arfima(spec_from_config(_LONG_PAIRS[name]), 1 << 16, 2024)
+    _assert_renders_as_oracle(tmp_path / "pair.csv", x, y)
+
+
 _NAN, _INF = math.nan, math.inf
 
 # (file text, expected (x, y) or (error type, message after "<path>: "))

@@ -15,7 +15,10 @@ public names is written out below, so that adding or removing one is an
 edit to this file.
 
 Importing the command line leaves the thread pool out: only a Monte Carlo
-run with more than one job needs it.
+run with more than one job needs it. It leaves the analysis and Monte Carlo
+layers out too, and ``generate`` and its replay never load them: the
+package loads those layers on first use, and still resolves every public
+name.
 
 What an integer or a number parameter is, is decided in ``core`` alone: no
 other module imports ``numbers``, and no module tests a value by comparing
@@ -23,10 +26,13 @@ other module imports ``numbers``, and no module tests a value by comparing
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import plcc
 
@@ -178,8 +184,55 @@ def test_parameter_rules_live_in_core():
     assert not found, "integer tests by int(v) == v:\n" + "\n".join(found)
 
 
-def test_cli_import_leaves_the_thread_pool_out():
-    code = "import sys, plcc.cli; print('concurrent.futures' in sys.modules)"
+def _fresh(code: str, cwd=None) -> str:
+    """The standard output of ``code`` run by a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return run.stdout
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    assert _fresh("import sys, plcc.cli; print('concurrent.futures' in sys.modules)") == "False\n"
+
+
+_DEFERRED = ["plcc.detrended", "plcc.montecarlo", "plcc.powerlaw", "plcc.spectral"]
+_LOADED = "print(sorted(m for m in sys.modules if m in %r))" % _DEFERRED
+
+
+def test_cli_import_generate_and_replay_leave_the_analysis_layers_out(tmp_path):
+    (tmp_path / "g.cfg").write_text("length = 512\nseed = 3\noutput = x\nspec.d1 = 0.3\n")
+    code = (
+        "import sys, plcc.cli\n"
+        f"{_LOADED}\n"
+        "assert plcc.cli.main(['generate', 'g.cfg', '--out', 'g.csv']) == 0\n"
+        "assert plcc.cli.main(['replay', 'g.csv.manifest.json']) == 0\n"
+        f"{_LOADED}\n"
+        "assert plcc.cli.main(['dfa', 'g.csv']) == 0\n"
+        f"{_LOADED}\n"
+    )
+    loaded = [line for line in _fresh(code, cwd=tmp_path).splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "[]", "['plcc.detrended']"]
+
+
+def test_every_public_name_resolves_from_a_fresh_package():
+    code = (
+        "import sys, plcc\n"
+        f"{_LOADED}\n"
+        "star = {}\n"
+        "exec('from plcc import *', star)\n"
+        "star.pop('__builtins__')\n"
+        "print(sorted(star) == sorted(plcc.__all__), set(plcc.__all__) <= set(dir(plcc)))\n"
+        "print(plcc.run_experiment is sys.modules['plcc.montecarlo'].run_experiment)\n"
+        f"{_LOADED}\n"
+    )
+    assert _fresh(code).splitlines() == ["[]", "True True", "True", str(_DEFERRED)]
+    assert {"detrended", "montecarlo", "powerlaw", "spectral"} <= set(dir(plcc))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        plcc.no_such_name  # noqa: B018
+
+
+def test_deferred_names_are_their_modules_exports():
+    for module, names in plcc._LAZY.items():
+        assert names == tuple(importlib.import_module(f"plcc.{module}").__all__), module

@@ -318,6 +318,21 @@ def test_spectra_of_values_too_large_to_square_are_refused():
     estimate_hxy_logcross(x, y * 1e160)
 
 
+def test_spectra_whose_products_underflow_are_refused():
+    # at 1e-100 the product of the smoothed spectra rounds to zero, and
+    # further down the ordinates themselves do: the coherency read 0 at
+    # every frequency. Scaling by a power of two is exact, so a pair whose
+    # products stay normal keeps every bit.
+    x, y = np.random.default_rng(9).standard_normal((2, 256))
+    message = "^spectral ordinates underflow: rescale the series$"
+    for sx, sy in ((1e-80, 1e-80), (1e-100, 1e-100), (1e-200, 1.0), (1.0, 1e-300)):
+        with pytest.raises(InvalidInput, match=message):
+            coherency(x * sx, y * sy)
+    want = coherency(x, y)[1]
+    assert np.array_equal(coherency(x * 2.0**-200, y * 2.0**-200)[1], want)
+    assert np.array_equal(coherency(x * 2.0**-400, y * 2.0**400)[1], want)
+
+
 def test_memory_fit_needs_three_positive_ordinates():
     # a constant side is refused before any transform, and the periodogram
     # of any other series is exactly zero almost never
