@@ -69,11 +69,22 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # ("-2.2250738585072014e-308") and fits a slot after its ','.
 _SLOT = 7 + 17 + 16
 _POW10 = np.array([float(10**k) for k in range(21)])
-_DIGITS = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-_QUADS = _DIGITS.view(np.uint32).ravel()  # the four ASCII digits of 0..9999 as one word
-_TRAILING_ZEROS = (_DIGITS[:, ::-1] == 48).cumprod(axis=1).sum(axis=1)
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _DIGIT_AT = np.arange(17)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one 32-bit word, and how
+    many of them are trailing zeros. Built on the first write, so that a
+    process that writes no CSV does not hold them or their temporaries."""
+    digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    digits = (digits % 10 + ord("0")).astype(np.uint8)
+    zeros = (digits[:, ::-1] == ord("0")).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.intp)
+    tables = digits.view(np.uint32).ravel(), zeros
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +111,13 @@ def _render_cells(out: np.ndarray, v: np.ndarray) -> None:
     lead, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10**16)
     high, low = np.divmod(rest, 10**8)
     groups = [*np.divmod(high, 10**4), *np.divmod(low, 10**4)]
+    quads, tz = _digit_tables()
     words = np.empty((v.size, 5), np.uint32)
     for k, g in enumerate(groups, start=1):
-        words[:, k] = _QUADS[g]
+        words[:, k] = quads[g]
     digits = words.view(np.uint8)[:, 3:]
-    digits[:, 0] = lead + 48
+    digits[:, 0] = lead + ord("0")
     g1, g2, g3, g4 = groups
-    tz = _TRAILING_ZEROS
     zeros = tz[g4] + (g4 == 0) * (tz[g3] + (g3 == 0) * (tz[g2] + (g2 == 0) * tz[g1]))
     out[:, 0] = ord(",")
     out[:, 1] = np.signbit(v) * np.uint8(ord("-"))
@@ -136,7 +147,7 @@ def _render_rows(start: int, columns) -> bytes:
     rows = np.empty((m, width + _SLOT * len(columns) + 1), np.uint8)
     for j in range(width):
         power = 10 ** (width - 1 - j)
-        rows[:, j] = (t // power % 10 + 48) * ((t >= power) | (j == width - 1))
+        rows[:, j] = (t // power % 10 + ord("0")) * ((t >= power) | (j == width - 1))
     for k, v in enumerate(columns):
         _render_cells(rows[:, width + k * _SLOT : width + (k + 1) * _SLOT], v)
     rows[:, -1] = ord("\n")
