@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plcc.arfima import McArfimaSpec
+from plcc.arfima import McArfimaSpec, generate_mc_arfima
 from plcc.core import fit_loglog
 from plcc.errors import InvalidInput, InvalidParameter
 from plcc.fileio import (
@@ -214,8 +214,6 @@ _LONG_PAIRS = {
 
 @pytest.mark.parametrize("name", sorted(_LONG_PAIRS))
 def test_series_csv_renders_a_long_pair_as_percent_17g(tmp_path, name):
-    from plcc.arfima import generate_mc_arfima
-
     x, y = generate_mc_arfima(spec_from_config(_LONG_PAIRS[name]), 1 << 16, 2024)
     _assert_renders_as_oracle(tmp_path / "pair.csv", x, y)
 
