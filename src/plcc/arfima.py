@@ -367,12 +367,16 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
     n_weights = spec.truncation + 1
     n_fft = _transform_length(needed, n_weights, spec.generator)
     parts = [np.zeros(length)] * 4
-    for i, (weight, d) in enumerate(spec.component_weights()):
-        if weight != 0.0:
-            spectrum = spec._spectrum(d, n_weights, n_fft)
-            tail = _fft_convolve_tail(innovations[i], spectrum, n_weights, spec.burn_in, length)
-            parts[i] = weight * tail
-    return parts[0] + parts[1], parts[2] + parts[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (weight, d) in enumerate(spec.component_weights()):
+            if weight != 0.0:
+                spectrum = spec._spectrum(d, n_weights, n_fft)
+                tail = _fft_convolve_tail(innovations[i], spectrum, n_weights, spec.burn_in, length)
+                parts[i] = weight * tail
+        x, y = parts[0] + parts[1], parts[2] + parts[3]
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameter("component weights alpha, beta, gamma, delta overflow the pair")
+    return x, y
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

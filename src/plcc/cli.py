@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .arfima import McArfimaSpec, generate_mc_arfima
-from .core import is_integer, require_positive
+from .core import is_integer, require_positive, scaled_back
 from .errors import (
     EstimationFailed,
     InvalidInput,
@@ -219,8 +219,8 @@ def _plot_block(abscissa, ordinate, intercept: float | None, slope: float | None
         "fit": None,
     }
     if intercept is not None and slope is not None:
-        a = np.asarray(abscissa, dtype=float)
-        block["fit"] = [float(v) for v in np.exp(intercept + slope * np.log(a))]
+        line = np.exp(intercept + slope * np.log(np.asarray(abscissa, dtype=float)))
+        block["fit"] = [float(v) for v in scaled_back(line, 0, "fitted line")]
     return block
 
 
@@ -776,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # numpy's overflow warnings would only repeat the InvalidInput that the
-    # statistics raise for finite values too large to square
+    # numpy's overflow warnings would only repeat a refusal: the exp of a
+    # fitted plot line is the one step here that can still overflow
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.showwarning = _show_warning
         # an estimation failure never escapes a handler: an analysis writes

@@ -1,5 +1,5 @@
-"""Series validation, the partial-sum profile and the one rule that reads
-every exponent (:func:`fit_positive`): fit the positive ordinates, or fail.
+"""Series validation, exact rescaling, the partial-sum profile and the one
+rule reading every exponent (:func:`fit_positive`): fit the positive ordinates, or fail.
 
 Everything in this module is a pure function of its inputs: no global state,
 no random number generation.
@@ -83,6 +83,29 @@ def is_constant(v: np.ndarray) -> bool:
     inexact (0.1, say) is a rounding residue of about 1e-17.
     """
     return bool(v.min() == v.max())
+
+
+def unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(v * 2**-k, k)``, ``k`` the ``frexp`` exponent of ``max |v|`` (0 for all zeros).
+
+    Exact, and commutes exactly with + - * /, sqrt, FMA and pairwise sums until
+    a value overflows or underflows: a ratio of second moments reads the scaled
+    series as they are, and :func:`scaled_back` returns anything else."""
+    k = math.frexp(max(-float(v.min()), float(v.max())))[1]
+    return (v if k == 0 else np.ldexp(v, -k)), k
+
+
+def scaled_back(values: np.ndarray, k: int, what: str) -> np.ndarray:
+    """``values * 2**k``, read-only; :class:`InvalidInput` where that overflows
+    or a nonzero value falls below the smallest normal double (losing digits)."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(values, k)
+    if not np.isfinite(out).all():
+        raise InvalidInput(f"{what} overflow: rescale the series")
+    if np.any((np.abs(out) < np.finfo(float).tiny) & (values != 0)):
+        raise InvalidInput(f"{what} underflow: rescale the series")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,13 +221,15 @@ def fit_loglog(points, divisor: float) -> ScalingFit:
     )
 
 
-def fit_positive(abscissa, ordinates, divisor: float, min_points: int) -> tuple[ScalingFit, int]:
-    """:func:`fit_loglog` over the points with a positive ordinate, and how many
-    were dropped; fewer than ``min_points`` of them fail the estimate."""
+def fit_positive(abscissa, ordinates, divisor: float, min_points: int, dropped: str) -> ScalingFit:
+    """:func:`fit_loglog` over the points with a positive ordinate, counting the
+    others as ``diagnostics[dropped]``; fewer than ``min_points`` fail the estimate."""
     o = np.asarray(ordinates, dtype=float)
     keep = o > 0
     n = int(np.count_nonzero(keep))
     if n < min_points:
         raise EstimationFailed(f"only {n} positive ordinates; need {min_points}")
     points = np.column_stack([np.asarray(abscissa, dtype=float)[keep], o[keep]])
-    return fit_loglog(points, divisor), o.size - n
+    fit = fit_loglog(points, divisor)
+    fit.diagnostics[dropped] = o.size - n
+    return fit

@@ -9,7 +9,6 @@ as ``s**(2H)``; with two series it is the covariance-like analogue.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +21,9 @@ from .core import (
     is_integer,
     profile,
     require_int,
+    scaled_back,
     series_values,
+    unit_scaled,
 )
 from .errors import (
     DegenerateInput,
@@ -155,8 +156,7 @@ def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
 
 
 _ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
-_OVERFLOW = "detrended statistics overflow: rescale the series"
-_UNDERFLOW = "detrended statistics underflow: rescale the series"
+_WHAT = "detrended statistics"
 
 
 class JointFluctuations:
@@ -173,9 +173,9 @@ class JointFluctuations:
     :meth:`beta`) turn the curves into the detrended statistics. An
     undefined statistic does not stop the pass: reading a curve of a
     constant side (all observations equal) raises :class:`DegenerateInput`,
-    reading one whose values are too large to square raises
-    :class:`InvalidInput`, and every curve raises when the grid does not fit
-    the series length, so the other side of a pair stays readable.
+    reading one that cannot be represented raises :class:`InvalidInput`, and
+    every curve raises when the grid does not fit the series length, so the
+    other side of a pair stays readable.
     """
 
     def __init__(self, x, y, cfg: DetrendConfig):
@@ -195,16 +195,21 @@ class JointFluctuations:
             )
         # Why each side's curve is undefined, or None. A constant side is
         # reported before a grid that does not fit, as for a lone series.
-        self._error_x = DegenerateInput(_ZERO_VARIANCE) if is_constant(vx) else grid_error
-        self._error_y = self._error_x
+        error_x = DegenerateInput(_ZERO_VARIANCE) if is_constant(vx) else grid_error
+        error_y = error_x
         if y is not None:
-            self._error_y = DegenerateInput(_ZERO_VARIANCE) if is_constant(vy) else grid_error
+            error_y = DegenerateInput(_ZERO_VARIANCE) if is_constant(vy) else grid_error
+        self._pair_error = error_x or error_y
+        self._shown = [error_x, error_y, self._pair_error]  # each curve, or why it is undefined
         self.scales = cfg.scale_grid
-        self._fxx = self._fyy = self._fxy = None
         if grid_error is not None:
             return
+        # rho and beta read the curves of the scaled sides; the others are scaled back
+        vx, kx = unit_scaled(vx)
+        vy, ky = (vx, kx) if y is None else unit_scaled(vy)
         px = profile(vx)
         py = None if y is None else profile(vy)
+        del vx, vy  # the scaled copies: the box pass reads only the profiles
         curves = np.empty((1 if py is None else 3, cfg.scale_grid.size))
         for i, s in enumerate(cfg.scale_grid):
             s = int(s)
@@ -223,33 +228,31 @@ class JointFluctuations:
                 np.add.reduce(product, axis=1, out=rows[j])
             rows /= s
             curves[:, i] = np.add.reduce(rows, axis=1) / rows.shape[1]
-        # Finite values can still overflow when squared: a side whose
-        # variance curve is not finite is undefined, as a constant side is.
-        # The cross curve is bounded by the two (Cauchy-Schwarz).
-        finite = np.isfinite(curves[:2]).all(axis=1)
-        if not finite[0]:
-            self._error_x = InvalidInput(_OVERFLOW)
-        if not finite[-1]:
-            self._error_y = InvalidInput(_OVERFLOW)
         curves.flags.writeable = False
-        if py is None:
-            self._fxx = self._fyy = self._fxy = curves[0]
-        else:
-            self._fxx, self._fyy, self._fxy = curves
+        # a univariate pass has one curve, F2_x, that serves as all three
+        self._fxx, self._fyy, self._fxy = (curves[i % len(curves)] for i in range(3))
+        self._beta_exponent = ky - kx
+        scaled = zip((self._fxx, self._fyy, self._fxy), (2 * kx, 2 * ky, kx + ky))
+        for i, (curve, k) in enumerate(scaled):
+            try:
+                self._shown[i] = self._shown[i] or scaled_back(curve, k, _WHAT)
+            except InvalidInput as exc:
+                self._shown[i] = exc
+
+    def _curve(self, i: int) -> np.ndarray:
+        if isinstance(self._shown[i], Exception):
+            raise self._shown[i]
+        return self._shown[i]
 
     @property
     def fxx(self) -> np.ndarray:
         """Detrended variance curve F2_x(s)."""
-        if self._error_x is not None:
-            raise self._error_x
-        return self._fxx
+        return self._curve(0)
 
     @property
     def fyy(self) -> np.ndarray:
         """Detrended variance curve F2_y(s)."""
-        if self._error_y is not None:
-            raise self._error_y
-        return self._fyy
+        return self._curve(1)
 
     @property
     def fxy(self) -> np.ndarray:
@@ -258,10 +261,7 @@ class JointFluctuations:
         Bilinear in the two series, and bit for bit the ``fxx`` of the
         lone series when both sides hold the same values.
         """
-        for error in (self._error_x, self._error_y):
-            if error is not None:
-                raise error
-        return self._fxy
+        return self._curve(2)
 
     def hurst_x(self) -> ScalingFit:
         """Memory exponent H_x: half the log-log slope of F2_x."""
@@ -283,31 +283,23 @@ class JointFluctuations:
 
     def rho(self) -> np.ndarray:
         """Scale-specific correlation F2_xy / sqrt(F2_x F2_y), within [-1, 1]."""
-        fxy = self.fxy
+        if self._pair_error:
+            raise self._pair_error
         fxx, fyy = self._fxx, self._fyy
         if np.any(fxx <= 0) or np.any(fyy <= 0):
             raise DegenerateInput("zero detrended variance at some scale")
-        product = fxx * fyy
-        if not np.isfinite(product).all():
-            raise InvalidInput(_OVERFLOW)
-        # a product of two positive curves below the smallest normal double
-        # has lost digits, or all of them: the ratio would read +-1 or worse
-        if np.any(product < np.finfo(float).tiny):
-            raise InvalidInput(_UNDERFLOW)
-        return np.clip(fxy / np.sqrt(product), -1.0, 1.0)
+        return np.clip(self._fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
 
     def beta(self) -> np.ndarray:
         """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses.
 
         Invariant under adding a constant to either series; linear in ``y``.
         """
-        fxy = self.fxy
+        if self._pair_error:
+            raise self._pair_error
         if np.any(self._fxx <= 0):
             raise DegenerateInput("zero detrended variance of the regressor at some scale")
-        beta = fxy / self._fxx
-        if not np.isfinite(beta).all():
-            raise InvalidInput(_OVERFLOW)
-        return beta
+        return scaled_back(self._fxy / self._fxx, self._beta_exponent, _WHAT)
 
 
 # =========================================================================
@@ -318,16 +310,9 @@ class JointFluctuations:
 def _fit_scaling(scales, values, divisor: float) -> ScalingFit:
     """Log-log fit of |values| vs scales with sign-flip and drop accounting."""
     vals = np.asarray(values, dtype=float)
-    sign_flips = int(np.count_nonzero(vals < 0))
     signs = np.sign(vals[vals != 0])
-    sign_changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    fit, dropped = fit_positive(scales, np.abs(vals), divisor, 3)
-    return dataclasses.replace(
-        fit,
-        diagnostics={
-            "sign_flips": sign_flips,
-            "sign_changes": sign_changes,
-            "dropped_nonpositive": dropped,
-        },
-    )
+    fit = fit_positive(scales, np.abs(vals), divisor, 3, "dropped_nonpositive")
+    fit.diagnostics["sign_flips"] = int(np.count_nonzero(vals < 0))
+    fit.diagnostics["sign_changes"] = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return fit
 

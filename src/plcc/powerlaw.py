@@ -12,7 +12,6 @@ artifacts and are flagged, not interpreted.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -39,8 +38,7 @@ REGIME_INFEASIBLE = "infeasible-flag"
 
 def _fit_power_decay(abscissa, ordinates, divisor: float) -> ScalingFit:
     """Shared OLS core of both decay channels: drop zeros, fit, divide."""
-    fit, dropped = fit_positive(abscissa, ordinates, divisor, 5)
-    return dataclasses.replace(fit, diagnostics={"dropped_zero": dropped})
+    return fit_positive(abscissa, ordinates, divisor, 5, "dropped_zero")
 
 
 def h_rho_frequency(x, y, n_freqs: int | None = None, bandwidth: int = 11) -> ScalingFit:

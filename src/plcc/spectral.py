@@ -4,7 +4,8 @@ log-periodogram memory estimators.
 All ordinates live on the Fourier frequencies ``2 pi j / T`` for
 ``j = 1 .. T // 2``; the zero frequency is excluded throughout. The
 normalization is ``1 / (2 pi T)``. Every statistic reads the de-meaned DFTs
-from one checked step, and each ordinate kind has one formula.
+from one checked step, which transforms each series scaled by ``core.unit_scaled``;
+each ordinate kind has one formula, and all but the coherency are scaled back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ import math
 
 import numpy as np
 
-from .core import ScalingFit, fit_positive, is_constant, is_integer, series_values
+from .core import (
+    ScalingFit,
+    fit_positive,
+    is_constant,
+    is_integer,
+    scaled_back,
+    series_values,
+    unit_scaled,
+)
 from .errors import (
     DegenerateInput,
     InvalidInput,
@@ -31,9 +40,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_OVERFLOW = "spectral ordinates overflow: rescale the series"
-_UNDERFLOW = "spectral ordinates underflow: rescale the series"
-_TINY = np.finfo(float).tiny
+_WHAT = "spectral ordinates"
 
 
 # =========================================================================
@@ -45,12 +52,12 @@ def _fourier_frequencies(t: int) -> np.ndarray:
     return _TWO_PI * np.arange(1, t // 2 + 1) / t
 
 
-def _dfts(*series) -> tuple[int, list[np.ndarray]]:
+def _dfts(*series) -> tuple[int, list[tuple[np.ndarray, int]]]:
     """The one checked-DFT step that every spectral statistic reads.
 
     Checks each series in turn (at least 16 observations, not all equal),
-    then that a pair has equal lengths, and returns T with the DFT of each
-    de-meaned series at the positive Fourier frequencies.
+    then that a pair has equal lengths, and returns T with ``(DFT, k)`` of
+    each de-meaned series scaled by ``2**-k`` at the positive frequencies.
     """
     values = []
     for s in series:
@@ -63,7 +70,7 @@ def _dfts(*series) -> tuple[int, list[np.ndarray]]:
     t = values[0].size
     if values[-1].size != t:
         raise InvalidInput(f"series lengths differ: {t} vs {values[-1].size}")
-    return t, [np.fft.rfft(v - v.mean())[1:] for v in values]
+    return t, [(np.fft.rfft(v - v.mean())[1:], k) for v, k in map(unit_scaled, values)]
 
 
 def _cross_parts(dx: np.ndarray, dy: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +84,6 @@ def _cross_parts(dx: np.ndarray, dy: np.ndarray, t: int) -> tuple[np.ndarray, np
     norm = _TWO_PI * t
     re = dx.real * dy.real + dx.imag * dy.imag
     im = dx.imag * dy.real - dx.real * dy.imag
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InvalidInput(_OVERFLOW)
     return re / norm, im / norm
 
 
@@ -90,8 +95,8 @@ def periodogram(x) -> tuple[np.ndarray, np.ndarray]:
     for a memory exponent H the ordinates decay as ``freq**(1 - 2H)`` toward
     the origin.
     """
-    t, (d,) = _dfts(x)
-    return _fourier_frequencies(t), _cross_parts(d, d, t)[0]
+    t, ((d, k),) = _dfts(x)
+    return _fourier_frequencies(t), scaled_back(_cross_parts(d, d, t)[0], 2 * k, _WHAT)
 
 
 def cross_periodogram(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +105,8 @@ def cross_periodogram(x, y) -> tuple[np.ndarray, np.ndarray]:
     With ``y`` equal to ``x`` this reduces exactly to the periodogram (zero
     phase); swapping the arguments conjugates the values.
     """
-    t, (dx, dy) = _dfts(x, y)
-    re, im = _cross_parts(dx, dy, t)
+    t, ((dx, kx), (dy, ky)) = _dfts(x, y)
+    re, im = (scaled_back(part, kx + ky, _WHAT) for part in _cross_parts(dx, dy, t))
     return _fourier_frequencies(t), re + 1j * im
 
 
@@ -144,29 +149,13 @@ def coherency(x, y, bandwidth: int = 11) -> tuple[np.ndarray, np.ndarray]:
     smoothed spectra carry no power report zero.
     """
     b = validate_bandwidth(bandwidth)
-    t, (dx, dy) = _dfts(x, y)
+    t, ((dx, _), (dy, _)) = _dfts(x, y)
     sre, sim = _smoothed_cross(dx, dy, t, b)
-    px = _cross_parts(dx, dx, t)[0]
-    py = _cross_parts(dy, dy, t)[0]
-    sx = _flat_smooth(px, b)
-    sy = _flat_smooth(py, b)
+    sx = _flat_smooth(_cross_parts(dx, dx, t)[0], b)
+    sy = _flat_smooth(_cross_parts(dy, dy, t)[0], b)
     num = sre**2 + sim**2
     den = sx * sy
-    # num <= den (Cauchy-Schwarz), so a finite den leaves no NaN ratio
-    if not np.isfinite(den).all():
-        raise InvalidInput(_OVERFLOW)
-    # Finite values can underflow too: the power of a nonzero transform, or
-    # the product of two positive spectra, below the smallest normal double
-    # has lost digits, or all of them, and the ratio would read 0 or worse
-    if (
-        np.any((px < _TINY) & (dx != 0))
-        or np.any((py < _TINY) & (dy != 0))
-        or np.any((den < _TINY) & (sx > 0) & (sy > 0))
-    ):
-        raise InvalidInput(_UNDERFLOW)
-    k2 = np.zeros_like(num)
-    live = den > 0
-    k2[live] = num[live] / den[live]
+    k2 = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return _fourier_frequencies(t), np.clip(k2, 0.0, 1.0)
 
 
@@ -190,12 +179,8 @@ def resolve_n_freqs(n_freqs, length: int) -> int:
 
 def _memory_fit(freqs: np.ndarray, ordinates: np.ndarray) -> ScalingFit:
     """H = (1 - slope) / 2 from an OLS fit of log ordinates on log frequency."""
-    fit, dropped = fit_positive(freqs, ordinates, -2.0, 3)
-    return dataclasses.replace(
-        fit,
-        exponent=0.5 + fit.exponent,
-        diagnostics={"dropped_nonpositive": dropped},
-    )
+    fit = fit_positive(freqs, ordinates, -2.0, 3, "dropped_nonpositive")
+    return dataclasses.replace(fit, exponent=0.5 + fit.exponent)
 
 
 def estimate_h_logperiodogram(x, n_freqs: int | None = None) -> ScalingFit:
@@ -206,9 +191,10 @@ def estimate_h_logperiodogram(x, n_freqs: int | None = None) -> ScalingFit:
     ``floor(sqrt(T))``). Moment-free on the log scale, which keeps the
     estimate stable under heavy-tailed innovations.
     """
-    t, (d,) = _dfts(x)
+    t, ((d, k),) = _dfts(x)
     n = resolve_n_freqs(n_freqs, t)
-    return _memory_fit(_fourier_frequencies(t)[:n], _cross_parts(d, d, t)[0][:n])
+    ordinates = scaled_back(_cross_parts(d, d, t)[0][:n], 2 * k, _WHAT)
+    return _memory_fit(_fourier_frequencies(t)[:n], ordinates)
 
 
 def estimate_hxy_logcross(x, y, n_freqs: int | None = None, bandwidth: int = 11) -> ScalingFit:
@@ -218,9 +204,10 @@ def estimate_hxy_logcross(x, y, n_freqs: int | None = None, bandwidth: int = 11)
     afterwards; magnitude-then-smooth would not vanish for incoherent pairs.
     """
     b = validate_bandwidth(bandwidth)
-    t, (dx, dy) = _dfts(x, y)
+    t, ((dx, kx), (dy, ky)) = _dfts(x, y)
     n = resolve_n_freqs(n_freqs, t)
     sre, sim = _smoothed_cross(dx, dy, t, b)
-    fit = _memory_fit(_fourier_frequencies(t)[:n], np.hypot(sre, sim)[:n])
+    magnitude = scaled_back(np.hypot(sre, sim)[:n], kx + ky, _WHAT)
+    fit = _memory_fit(_fourier_frequencies(t)[:n], magnitude)
     fit.diagnostics["bandwidth"] = b
     return fit

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -552,6 +553,21 @@ def test_generate_validation():
         generate_mc_arfima(spec, 128, -4)
     with pytest.raises(InvalidParameter):
         generate_arfima(0.6, 128, 1)
+
+
+def test_a_pair_past_the_largest_double_is_refused_without_a_warning():
+    # a finite weight of 1e308 used to fill x with inf, and numpy only warned
+    spec = McArfimaSpec(1e308, 0, 1, 0, 0.3, 0, 0.3, 0, _sigma({(1, 3): 0.5}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="^component weights alpha, beta, gamma, delta"):
+            generate_mc_arfima(spec, 512, 1)
+        with pytest.raises(InvalidParameter, match="overflow the pair$"):
+            generate_mc_arfima(dataclasses.replace(spec, alpha=1.0, gamma=-1e308), 512, 1)
+        # large weights that keep every sample finite stay as they are
+        x, y = generate_mc_arfima(dataclasses.replace(spec, alpha=1e300), 512, 1)
+    unit = generate_mc_arfima(dataclasses.replace(spec, alpha=1.0), 512, 1)
+    assert np.array_equal(x, 1e300 * unit[0]) and np.array_equal(y, unit[1])
 
 
 def test_filter_requires_resolved_spec():

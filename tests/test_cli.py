@@ -139,6 +139,28 @@ def test_generate_usage_errors(tmp_path, capsys, monkeypatch):
     assert "PLCC_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["generate", "mc"])
+def test_weights_that_overflow_the_pair_exit_2_writing_nothing(tmp_path, capsys, sub):
+    # spec.alpha = 1e308 used to write 35 inf cells in x with exit 0, and
+    # every analysis then refused the file
+    spec = "spec.alpha = 1e308\nspec.d1 = 0.3\nspec.d3 = 0.3\nsigma.13 = 0.5\n"
+    run = {
+        "generate": ("length = 512\nseed = 1\n", ["--out", str(tmp_path / "big.csv")]),
+        "mc": (
+            "mc.lengths = 256\nmc.replications = 2\nmc.estimators = dfa, rho\n"
+            "mc.master_seed = 1\nmc.label = big\n",
+            ["--out-dir", str(tmp_path / "out")],
+        ),
+    }
+    head, args = run[sub]
+    cfg = _write(tmp_path / "big.cfg", head + spec)
+    assert main([sub, cfg, *args]) == 2
+    assert capsys.readouterr().err == (
+        "plcc: error: component weights alpha, beta, gamma, delta overflow the pair\n"
+    )
+    assert os.listdir(tmp_path) == ["big.cfg"]
+
+
 def test_missing_files_exit_3(tmp_path, capsys):
     assert main(["generate", str(tmp_path / "nope.cfg"), "--out", "o.csv"]) == 3
     assert main(["dfa", str(tmp_path / "nope.csv")]) == 3
@@ -324,58 +346,89 @@ OVERFLOWING = {
     "times-1e160": tuple(_NOISE * 1e160),
     "plus-minus-1e308": tuple(np.copysign(1e308, _NOISE)),
 }
+# each pair above at unit scale
+_UNIT_SCALE = {"times-1e160": tuple(_NOISE), "plus-minus-1e308": tuple(np.copysign(1.0, _NOISE))}
+
+
+def _analysis_run(directory, capsys, sub, columns):
+    """Exit code, document (None when none was written) and stderr of ``sub``
+    run on a file of ``columns`` in ``directory``."""
+    directory.mkdir(exist_ok=True)
+    series = str(directory / "series.csv")
+    write_series_csv(series, *columns)
+    out = directory / "series.json"
+    code = main([sub, series, "--out", str(out)])
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail) if out.exists() else None
+    return code, doc, capsys.readouterr().err
+
+
+def _reads_as(doc, unit):
+    """``doc`` reports what ``unit``, the run at unit scale, reports: every
+    value, the estimate and each channel that did not fail, up to the
+    rounding of a scale that is not a power of two."""
+    for key in ("estimate", "values"):
+        if doc.get(key) is not None:
+            np.testing.assert_allclose(doc[key], unit[key], rtol=1e-12)
+    for name, channel in doc.get("channels", {}).items():
+        if channel is not None:
+            np.testing.assert_allclose(channel["estimate"], unit["channels"][name]["estimate"], rtol=1e-12)
 
 
 @pytest.mark.parametrize("values", sorted(OVERFLOWING))
 @pytest.mark.parametrize("sub", ["dfa", "dcca", "rho", "beta", "coherency", "hrho", "report"])
 def test_finite_input_whose_moments_overflow_is_refused(tmp_path, capsys, sub, values):
-    # finite values whose squares (or whose sum) overflow used to reach the
-    # JSON writer as NaN and exit 1; the report keeps a finite partial
-    # document with every channel failed
+    # Finite values whose squares overflow used to reach the JSON writer as
+    # NaN and exit 1, and were then refused by every subcommand. The ratios
+    # of second moments (rho, beta, the coherency and both decay channels)
+    # now read what the pair at unit scale reads; only a curve that cannot
+    # be represented is refused: dfa and dcca exit 2 with nothing written,
+    # and the report fails its three exponent channels (exit 4).
     x, y = OVERFLOWING[values]
-    series = str(tmp_path / "big.csv")
-    write_series_csv(series, *((x,) if sub == "dfa" else (x, y)))
-    out = str(tmp_path / "big.json")
-    code = main([sub, series, "--out", out])
-    err = capsys.readouterr().err
+    code, doc, err = _analysis_run(tmp_path / "big", capsys, sub, (x,) if sub == "dfa" else (x, y))
+    if sub in ("dfa", "dcca"):
+        assert code == 2
+        assert err == "plcc: error: detrended statistics overflow: rescale the series\n"
+        assert os.listdir(tmp_path / "big") == ["series.csv"]
+        return
+    unit = _analysis_run(tmp_path / "unit", capsys, sub, _UNIT_SCALE[values])[1]
+    _reads_as(doc, unit)
     if sub == "report":
         assert code == 4
-        doc = json.load(open(out))
-        assert list(doc["channels"].values()) == [None] * 5
-        assert "overflow: rescale the series" in doc["error"]
+        assert doc["diagnostics"]["failures"] == dict.fromkeys(
+            ("h_x", "h_y", "h_xy"), "detrended statistics overflow: rescale the series"
+        )
     else:
-        assert code == 2
-        assert err.startswith("plcc: error: ") and err.endswith("overflow: rescale the series\n")
-        assert err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == ["big.csv"]
+        assert code == 0
+
+
+def test_a_fitted_line_past_the_largest_double_is_refused(tmp_path, capsys):
+    # the variance curve of this series peaks near 1.7e308 and its fitted
+    # line passes the largest double: the line's inf used to escape main as
+    # a ValueError of the JSON writer
+    code, doc, err = _analysis_run(tmp_path / "line", capsys, "dfa", (_NOISE[0] * 5.2e153,))
+    assert (code, doc, err) == (2, None, "plcc: error: fitted line overflow: rescale the series\n")
+    assert os.listdir(tmp_path / "line") == ["series.csv"]
 
 
 @pytest.mark.parametrize("sub", ["rho", "coherency", "hrho", "report"])
 def test_finite_input_whose_moment_products_underflow_is_refused(tmp_path, capsys, sub):
-    # at 1e-100 the products of the two variance curves, and of the two
+    # At 1e-100 the products of the two variance curves, and of the two
     # smoothed spectra, round to zero: rho read 1 at every scale and the
-    # coherency 0 at every frequency, with exit 0; the report keeps a finite
-    # partial document with both decay channels failed
-    x, y = _NOISE * 1e-100
-    series = str(tmp_path / "small.csv")
-    write_series_csv(series, x, y)
-    out = str(tmp_path / "small.json")
-    code = main([sub, series, "--out", out])
-    err = capsys.readouterr().err
-    if sub == "report":
-        assert code == 4
-        doc = json.loads(open(out).read(), parse_constant=pytest.fail)
-        assert doc["channels"]["h_rho_time"] is doc["channels"]["h_rho_freq"] is None
-        assert doc["rho_at_max_scale"] is None
-        assert doc["diagnostics"]["failures"] == {
-            "h_rho_freq": "spectral ordinates underflow: rescale the series",
-            "h_rho_time": "detrended statistics underflow: rescale the series",
-        }
-    else:
-        assert code == 2
-        assert err.startswith("plcc: error: ") and err.endswith("underflow: rescale the series\n")
-        assert err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == ["small.csv"]
+    # coherency 0 at every frequency, with exit 0, and were then refused.
+    # Now every channel reads what the pair at unit scale reads. At 1e-160
+    # the variance curves themselves fall below the normal doubles: only the
+    # report's three exponent channels fail (exit 4).
+    unit = _analysis_run(tmp_path / "unit", capsys, sub, _NOISE)[1]
+    for scale in (1e-100, 1e-160):
+        code, doc, err = _analysis_run(tmp_path / f"{scale}", capsys, sub, _NOISE * scale)
+        _reads_as(doc, unit)
+        if sub == "report" and scale == 1e-160:
+            assert code == 4
+            assert doc["diagnostics"]["failures"] == dict.fromkeys(
+                ("h_x", "h_y", "h_xy"), "detrended statistics underflow: rescale the series"
+            )
+        else:
+            assert code == 0 and "failures" not in doc["diagnostics"], scale
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])

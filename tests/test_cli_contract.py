@@ -9,7 +9,10 @@ line reads and unknown ones, and with values drawn on purpose from path-like
 strings, a NUL, a byte that is not UTF-8 and numbers whose squares overflow.
 The analysis test runs one analysis subcommand on a 512-row file with
 options drawn from the subcommand's own parser, ``--out`` naming the input
-itself among them, and replays what the run wrote. The sibling-directory
+itself among them, and replays what the run wrote. The edited-record test
+runs ``generate``, an analysis or ``mc``, edits one recorded parameter that
+changes what the run computes and replays the record, which must fail
+without changing a byte. The sibling-directory
 tests run ``generate``, ``dcca`` and both ``mc`` modes in one directory and
 replay each record from two others.
 """
@@ -257,8 +260,9 @@ INPUTS = {
         spec_from_config({"spec.d1": "0.3", "spec.d3": "0.1"}), 512, 8
     ),
     "constant": (_X, np.full(512, 1.5)),
-    # finite values whose squares overflow: refused (exit 2), and every
-    # channel of a report fails (exit 4)
+    # finite values whose squares overflow: the ratios of second moments
+    # answer, a curve or a fit that cannot be represented is refused (dfa
+    # and dcca exit 2, a report fails its exponent channels and exits 4)
     "times-1e160": (_X * 1e160, _Y * 1e160),
 }
 
@@ -321,6 +325,90 @@ def test_analysis_exit_code_outputs_and_replay_follow_the_contract(run):
         # the sidecar replays with the run's exit code and changes no byte
         assert main(["replay", f"{out}.manifest.json"]) == code
         assert _tree(root) == after
+
+
+# =========================================================================
+# replay of an edited record
+# =========================================================================
+
+# Edits of one recorded parameter that change what a run computes, by the
+# parameter's path in the record's "parameters": a replay either refuses the
+# edited value or computes other bytes. An analysis document embeds its
+# parameters, so for an analysis every edit changes the bytes.
+EDITS = {
+    "generate": {
+        ("seed",): [4, 2**40],
+        ("length",): [300, 640],
+        ("spec", "alpha"): [0.5, -1.0, 1e308],
+        ("spec", "beta"): [0.5],
+        ("spec", "gamma"): [2.0, 0.0],
+        ("spec", "delta"): [-0.5],
+        ("spec", "d1"): [0.1, -0.2],
+        ("spec", "d3"): [0.45, 0.0],
+    },
+    "analysis": {
+        ("order",): [0, 2],
+        ("scales",): ["16:60:5", "12:100:20"],
+        ("scale_grid",): [[12, 20, 30, 50, 80]],
+        ("min_rows",): [16, 1024],
+        ("bandwidth",): [3, 5],
+        ("n_freqs",): [8, 40],
+        ("tolerance",): [0.1, 0.5],
+    },
+    "mc": {
+        ("config_echo", "master_seed"): [72, 0],
+        ("config_echo", "replications"): [3, 1],
+        ("tolerance",): [0.1, 0.0],
+    },
+}
+# Each recorded run as its command line and the sidecar of its record.
+EDITED_RUNS = {
+    "generate": (["generate", "g.cfg", "--out", "pair.csv"], "pair.csv.manifest.json"),
+    **{sub: ([sub, "series.csv", "--out", "r.json"], "r.json.manifest.json") for sub in ANALYSES},
+    "mc": (["mc", "mc.cfg", "--out-dir", "runs"], os.path.join("runs", "summary.json.manifest.json")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_replay_of_a_record_with_an_edited_parameter_fails_and_keeps_every_file(data):
+    run = data.draw(st.sampled_from(sorted(EDITED_RUNS)))
+    argv, sidecar = EDITED_RUNS[run]
+    with tempfile.TemporaryDirectory() as root:
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            for name in ("g.cfg", "mc.cfg"):
+                with open(name, "w") as fh:
+                    fh.write(CONFIGS[name])
+            write_series_csv("series.csv", *((_Y,) if run == "dfa" else (_X, _Y)))
+            assert main(argv) == 0
+            with open(sidecar) as fh:
+                record = json.load(fh)
+            edits = EDITS.get(run, EDITS["analysis"])
+            params = record["parameters"]
+            path = data.draw(st.sampled_from([p for p in sorted(edits) if p[-1] in _lookup(params, p[:-1])]))
+            holder = _lookup(params, path[:-1])
+            holder[path[-1]] = data.draw(
+                st.sampled_from([v for v in edits[path] if v != holder[path[-1]]])
+            )
+            event(f"{run}: {'.'.join(path)}")
+            with open(sidecar, "w") as fh:
+                json.dump(record, fh)
+            edited = _tree(".")
+            code = main(["replay", sidecar])
+            event(f"exit {code}")
+            assert code in (1, 2)
+            assert _tree(".") == edited
+        finally:
+            os.chdir(cwd)
+
+
+def _lookup(parameters, path):
+    """The mapping at ``path`` in a record's parameters."""
+    for key in path:
+        parameters = parameters[key]
+    return parameters
 
 
 # =========================================================================

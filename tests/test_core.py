@@ -18,7 +18,15 @@ from plcc.arfima import (
     generate_arfima,
     generate_mc_arfima,
 )
-from plcc.core import ScalingFit, fit_loglog, is_constant, profile, series_values
+from plcc.core import (
+    ScalingFit,
+    fit_loglog,
+    is_constant,
+    profile,
+    scaled_back,
+    series_values,
+    unit_scaled,
+)
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from plcc.errors import (
     DegenerateInput,
@@ -88,6 +96,37 @@ def test_is_constant_is_exact(value):
     w = v.copy()
     w[-1] = np.nextafter(value, np.inf)
     assert not is_constant(w)
+
+
+@pytest.mark.parametrize(
+    "values, k",
+    [
+        ([3.0, -5.0, 0.25], 3),
+        ([0.5, -0.25], 0),
+        ([0.0, -0.0, 0.0], 0),
+        ([1.7e308, -1.0], 1024),
+        ([5e-324, -1e-320, 0.0], -1063),
+    ],
+)
+def test_unit_scaled_divides_by_two_to_the_exponent_of_the_largest_magnitude(values, k):
+    v = np.array(values)
+    scaled, got = unit_scaled(v)
+    assert got == k
+    assert np.array_equal(np.ldexp(scaled, k), v)
+    assert 0.5 <= np.abs(scaled).max() < 1 or not v.any()
+
+
+def test_scaled_back_refuses_only_what_cannot_be_represented():
+    tiny = np.finfo(float).tiny
+    out = scaled_back(np.array([0.5, -0.5, 0.0]), 1024, "w")
+    assert np.array_equal(out, [2.0**1023, -(2.0**1023), 0.0])
+    assert not out.flags.writeable
+    assert np.array_equal(scaled_back(np.array([1.0, 0.0]), -1022, "w"), [tiny, 0.0])
+    assert np.array_equal(scaled_back(np.zeros(3), -5000, "w"), np.zeros(3))
+    with pytest.raises(InvalidInput, match="^w overflow: rescale the series$"):
+        scaled_back(np.array([0.25, -1.0]), 1024, "w")
+    with pytest.raises(InvalidInput, match="^w underflow: rescale the series$"):
+        scaled_back(np.array([1.0, -0.5]), -1022, "w")
 
 
 def test_profile_needs_two_observations():

@@ -499,41 +499,101 @@ def test_zero_variance_gates_of_rho_and_beta(xy_pair):
 
 
 OVERFLOW = "^detrended statistics overflow: rescale the series$"
+UNDERFLOW = "^detrended statistics underflow: rescale the series$"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_statistics_of_values_too_large_to_square_are_refused(xy_pair):
-    # a finite side whose variance curve overflows is undefined and the
-    # other side stays readable; rho and beta refuse a product or a ratio
-    # of finite curves that overflows
+    # Only a curve, or a coefficient, that cannot be represented is refused,
+    # and each reader refuses exactly what it reads: rho is read from the
+    # curves of the scaled sides and answers for every such pair.
     x, y, cfg = xy_pair
+    base = JointFluctuations(x, y, cfg)
     jf = JointFluctuations(x, y * 1e160, cfg)
     jf.hurst_x()
-    for read in (jf.hurst_y, jf.hxy, jf.rho, jf.beta):
+    for read in (jf.hurst_y, lambda: jf.fyy):
         with pytest.raises(InvalidInput, match=OVERFLOW):
             read()
+    # F2_xy is near 1e160 and F2_x near 1: both stay readable
+    np.testing.assert_allclose(jf.hxy().exponent, base.hxy().exponent, rtol=1e-12)
+    np.testing.assert_allclose(jf.rho(), base.rho(), rtol=1e-12)
+    np.testing.assert_allclose(jf.beta(), base.beta() * 1e160, rtol=1e-12)
     with pytest.raises(InvalidInput, match=OVERFLOW):
         JointFluctuations(x * 1e160, None, cfg).hurst_y()
     wide = JointFluctuations(x * 1e100, y * 1e100, cfg)
     wide.hxy()
-    with pytest.raises(InvalidInput, match=OVERFLOW):
-        wide.rho()
+    np.testing.assert_allclose(wide.rho(), base.rho(), rtol=1e-12)
+    # beta near 1e310 cannot be represented
     with pytest.raises(InvalidInput, match=OVERFLOW):
         JointFluctuations(x * 1e-160, (x + y) * 1e150, cfg).beta()
 
 
 def test_statistics_whose_products_underflow_are_refused(xy_pair):
-    # at 1e-100 F2_x * F2_y rounds to zero and rho read 1 at every scale;
-    # beta is a plain ratio and stays exact. Scaling by a power of two is
-    # exact, so a pair whose product stays normal keeps every bit.
+    # At 1e-100 F2_x * F2_y rounds to zero and rho read 1 at every scale;
+    # now the products are formed from the scaled sides and rho reads what
+    # the unscaled pair does, bit for bit under a power of two. At 1e-160
+    # F2_x falls below the normal doubles: beta read 1.6e-4 off and dcca
+    # fitted subnormal curves; now beta is exact and the curves are refused.
     x, y, cfg = xy_pair
-    for scale in (1e-80, 1e-100, 2.0**-300):
-        with pytest.raises(InvalidInput, match="^detrended statistics underflow: rescale the series$"):
-            JointFluctuations(x * scale, y * scale, cfg).rho()
     jf = JointFluctuations(x, y, cfg)
-    assert np.array_equal(JointFluctuations(x * 2.0**-200, y * 2.0**-200, cfg).rho(), jf.rho())
+    for scale in (1e-80, 1e-100, 1e-160):
+        np.testing.assert_allclose(JointFluctuations(x * scale, y * scale, cfg).rho(), jf.rho(), rtol=1e-13)
+    for scale in (2.0**-200, 2.0**-300, 2.0**-1000):
+        assert np.array_equal(JointFluctuations(x * scale, y * scale, cfg).rho(), jf.rho())
     assert np.array_equal(JointFluctuations(x * 2.0**-480, y * 2.0**-480, cfg).beta(), jf.beta())
-    np.testing.assert_allclose(JointFluctuations(x * 1e-150, y * 1e-150, cfg).beta(), jf.beta(), rtol=1e-13)
+    for scale in (1e-150, 1e-160):
+        np.testing.assert_allclose(JointFluctuations(x * scale, y * scale, cfg).beta(), jf.beta(), rtol=1e-13)
+    tiny = JointFluctuations(x * 1e-160, y * 1e-160, cfg)
+    for read in (tiny.hurst_x, tiny.hurst_y, tiny.hxy, lambda: tiny.fxy):
+        with pytest.raises(InvalidInput, match=UNDERFLOW):
+            read()
+
+
+# One fixed pair, scaled by 2**kx and 2**ky: every ratio of second moments
+# keeps its bits, beta moves by exactly 2**(ky - kx), and each curve a fit
+# reads is the unscaled curve times a power of two, or is refused.
+_SCALED = np.random.default_rng(12345).standard_normal((2, 2048))
+_SCALED_CFG = DetrendConfig(default_scale_grid(2048))
+_UNSCALED = JointFluctuations(*_SCALED, _SCALED_CFG)
+
+
+def _scaled_or_refused(read, unscaled, k):
+    """``read()`` is ``unscaled * 2**k`` bit for bit where every value can be
+    represented as a normal double (or zero), and is refused where not."""
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(unscaled, k)
+    if np.isfinite(want).all() and not np.any((np.abs(want) < np.finfo(float).tiny) & (unscaled != 0)):
+        assert np.array_equal(read(), want)
+        return True
+    with pytest.raises(InvalidInput, match="^detrended statistics (over|under)flow: rescale the series$"):
+        read()
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(kx=st.integers(-900, 900), ky=st.integers(-900, 900))
+@example(kx=3, ky=-5)
+@example(kx=900, ky=0)
+@example(kx=-900, ky=-900)
+@example(kx=-900, ky=900)
+def test_power_of_two_scaling_is_exact(kx, ky):
+    x, y = np.ldexp(_SCALED[0], kx), np.ldexp(_SCALED[1], ky)
+    jf = JointFluctuations(x, y, _SCALED_CFG)
+    assert np.array_equal(jf.rho(), _UNSCALED.rho())
+    assert rho_decay(jf).exponent == rho_decay(_UNSCALED).exponent
+    _scaled_or_refused(jf.beta, _UNSCALED.beta(), ky - kx)
+    for curve, fit, k in (
+        ("fxx", JointFluctuations.hurst_x, 2 * kx),
+        ("fyy", JointFluctuations.hurst_y, 2 * ky),
+        ("fxy", JointFluctuations.hxy, kx + ky),
+    ):
+        if _scaled_or_refused(lambda: getattr(jf, curve), getattr(_UNSCALED, curve), k):
+            # the log-log fit is not itself invariant: log(v * 2**k) rounds
+            # apart from log(v) + k log 2
+            want = fit(_UNSCALED)
+            np.testing.assert_allclose(fit(jf).exponent, want.exponent, rtol=1e-13)
+        else:
+            with pytest.raises(InvalidInput):
+                fit(jf)
 
 
 def test_scaling_fit_needs_three_nonzero_values():

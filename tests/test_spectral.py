@@ -300,37 +300,86 @@ def test_error_contract_table():
             assert (type(info.value), str(info.value)) == want, case
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_spectra_of_values_too_large_to_square_are_refused():
-    # finite values whose ordinates, or whose squared cross ordinates,
-    # overflow used to yield NaN or an all-zero coherency
+    # Finite values whose ordinates, or whose squared cross ordinates,
+    # overflow used to yield NaN or an all-zero coherency, and were then
+    # refused. The coherency is a ratio read from the scaled transforms and
+    # now answers; an ordinate that cannot be represented is still refused.
     x, y = np.random.default_rng(9).standard_normal((2, 256))
     message = "^spectral ordinates overflow: rescale the series$"
     for run in (
         lambda: periodogram(x * 1e160),
         lambda: estimate_hxy_logcross(x * 1e160, y * 1e160),
-        lambda: coherency(np.copysign(1e308, x), y),
-        lambda: coherency(x * 1e100, y * 1e100),
     ):
         with pytest.raises(InvalidInput, match=message):
             run()
+    want = coherency(x, y)[1]
+    np.testing.assert_allclose(coherency(x * 1e100, y * 1e100)[1], want, rtol=1e-12)
+    signs = coherency(np.copysign(1.0, x), y)[1]
+    np.testing.assert_allclose(coherency(np.copysign(1e308, x), y)[1], signs, rtol=1e-12)
     # one side that large is fine where it meets only a unit side
     estimate_hxy_logcross(x, y * 1e160)
 
 
 def test_spectra_whose_products_underflow_are_refused():
-    # at 1e-100 the product of the smoothed spectra rounds to zero, and
+    # At 1e-100 the product of the smoothed spectra rounds to zero, and
     # further down the ordinates themselves do: the coherency read 0 at
-    # every frequency. Scaling by a power of two is exact, so a pair whose
-    # products stay normal keeps every bit.
+    # every frequency, and was then refused. Read from the scaled transforms
+    # it now keeps every bit under a power of two and reads the unscaled
+    # value otherwise; an ordinate below the normal doubles is refused.
     x, y = np.random.default_rng(9).standard_normal((2, 256))
-    message = "^spectral ordinates underflow: rescale the series$"
-    for sx, sy in ((1e-80, 1e-80), (1e-100, 1e-100), (1e-200, 1.0), (1.0, 1e-300)):
-        with pytest.raises(InvalidInput, match=message):
-            coherency(x * sx, y * sy)
     want = coherency(x, y)[1]
+    for sx, sy in ((1e-80, 1e-80), (1e-100, 1e-100), (1e-200, 1.0), (1.0, 1e-300)):
+        np.testing.assert_allclose(coherency(x * sx, y * sy)[1], want, rtol=1e-12)
     assert np.array_equal(coherency(x * 2.0**-200, y * 2.0**-200)[1], want)
     assert np.array_equal(coherency(x * 2.0**-400, y * 2.0**400)[1], want)
+    with pytest.raises(InvalidInput, match="^spectral ordinates underflow: rescale the series$"):
+        periodogram(x * 1e-160)
+
+
+# One fixed pair, scaled by 2**kx and 2**ky: the coherency keeps its bits,
+# and every ordinate a caller sees or a fit reads is the unscaled ordinate
+# times a power of two, or is refused.
+_SCALED = np.random.default_rng(9).standard_normal((2, 1024))
+
+
+def _scaled_or_refused(read, unscaled, k):
+    """``read()`` is ``unscaled * 2**k`` bit for bit where every value can be
+    represented as a normal double (or zero), and is refused where not."""
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(unscaled, k)
+    if np.isfinite(want).all() and not np.any((np.abs(want) < np.finfo(float).tiny) & (unscaled != 0)):
+        assert np.array_equal(read(), want)
+        return True
+    with pytest.raises(InvalidInput, match="^spectral ordinates (over|under)flow: rescale the series$"):
+        read()
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(kx=st.integers(-900, 900), ky=st.integers(-900, 900))
+@example(kx=3, ky=-5)
+@example(kx=900, ky=0)
+@example(kx=-900, ky=-900)
+@example(kx=-900, ky=900)
+def test_power_of_two_scaling_is_exact(kx, ky):
+    x0, y0 = _SCALED
+    x, y = np.ldexp(x0, kx), np.ldexp(y0, ky)
+    assert np.array_equal(coherency(x, y)[1], coherency(x0, y0)[1])
+    assert h_rho_frequency(x, y).exponent == h_rho_frequency(x0, y0).exponent
+    _scaled_or_refused(lambda: periodogram(x)[1], periodogram(x0)[1], 2 * kx)
+    cross = cross_periodogram(x0, y0)[1]
+    _scaled_or_refused(lambda: cross_periodogram(x, y)[1].real, cross.real, kx + ky)
+    _scaled_or_refused(lambda: cross_periodogram(x, y)[1].imag, cross.imag, kx + ky)
+    # a fit reads the lowest of those ordinates and is refused with them;
+    # the log-log fit is not itself invariant, since log(v * 2**k) rounds
+    # apart from log(v) + k log 2
+    for fit in (lambda a, b: estimate_h_logperiodogram(a), estimate_hxy_logcross):
+        try:
+            got = fit(x, y).exponent
+        except InvalidInput:
+            continue
+        np.testing.assert_allclose(got, fit(x0, y0).exponent, rtol=1e-13)
 
 
 def test_memory_fit_needs_three_positive_ordinates():
