@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # the public names of each layer that loads on first use
 _LAZY = {
-    "detrended": ("DetrendConfig", "JointFluctuations", "min_scale_for_order", "default_scale_grid"),
+    "detrended": ("DetrendConfig", "JointFluctuations", "default_scale_grid"),
     "spectral": (
         "periodogram", "cross_periodogram", "coherency", "estimate_h_logperiodogram",
         "estimate_hxy_logcross",

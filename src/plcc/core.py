@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationFailed, InvalidInput, InvalidParameter, NonPositiveOrdinate
+from .errors import EstimationFailed, InvalidInput, InvalidParameter
 
-__all__ = ["ScalingFit", "series_values", "profile", "fit_loglog"]
+__all__ = ["ScalingFit", "fit_loglog"]
 
 
 # =========================================================================
@@ -190,7 +190,7 @@ def fit_loglog(points, divisor: float) -> ScalingFit:
     if np.all(a == a[0]):
         raise InvalidInput("abscissa values are all identical")
     if np.any(o <= 0):
-        raise NonPositiveOrdinate("ordinates must be strictly positive")
+        raise InvalidInput("ordinates must be strictly positive")
     lx = np.log(a)
     ly = np.log(o)
     n = lx.size

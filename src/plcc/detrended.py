@@ -35,7 +35,6 @@ from .errors import (
 __all__ = [
     "DetrendConfig",
     "JointFluctuations",
-    "min_scale_for_order",
     "default_scale_grid",
 ]
 
@@ -159,6 +158,12 @@ _ZERO_VARIANCE = "detrended statistics are undefined for a zero-variance series"
 _WHAT = "detrended statistics"
 
 
+def _raised(stored: Exception) -> Exception:
+    """A new exception like ``stored``: raising ``stored`` itself on every read
+    grows its traceback and ties the pass, through its frames, into a cycle."""
+    return type(stored)(*stored.args)
+
+
 class JointFluctuations:
     """One box pass over a series, or a pair, on one shared box layout.
 
@@ -237,11 +242,11 @@ class JointFluctuations:
             try:
                 self._shown[i] = self._shown[i] or scaled_back(curve, k, _WHAT)
             except InvalidInput as exc:
-                self._shown[i] = exc
+                self._shown[i] = exc.with_traceback(None)  # its frames hold this pass
 
     def _curve(self, i: int) -> np.ndarray:
         if isinstance(self._shown[i], Exception):
-            raise self._shown[i]
+            raise _raised(self._shown[i])
         return self._shown[i]
 
     @property
@@ -284,7 +289,7 @@ class JointFluctuations:
     def rho(self) -> np.ndarray:
         """Scale-specific correlation F2_xy / sqrt(F2_x F2_y), within [-1, 1]."""
         if self._pair_error:
-            raise self._pair_error
+            raise _raised(self._pair_error)
         fxx, fyy = self._fxx, self._fyy
         if np.any(fxx <= 0) or np.any(fyy <= 0):
             raise DegenerateInput("zero detrended variance at some scale")
@@ -296,7 +301,7 @@ class JointFluctuations:
         Invariant under adding a constant to either series; linear in ``y``.
         """
         if self._pair_error:
-            raise self._pair_error
+            raise _raised(self._pair_error)
         if np.any(self._fxx <= 0):
             raise DegenerateInput("zero detrended variance of the regressor at some scale")
         return scaled_back(self._fxy / self._fxx, self._beta_exponent, _WHAT)

@@ -5,7 +5,6 @@ __all__ = [
     "InvalidInput",
     "DegenerateInput",
     "InvalidParameter",
-    "NonPositiveOrdinate",
     "SeriesTooShort",
     "EstimationFailed",
     "TruncationWarning",
@@ -29,14 +28,6 @@ class DegenerateInput(PlccError):
 
 class InvalidParameter(PlccError):
     """A parameter lies outside its allowed range."""
-
-
-class NonPositiveOrdinate(InvalidInput):
-    """A log-log fit received a non-positive ordinate.
-
-    The fit itself never silently drops or rectifies values; the caller owns
-    that policy and must apply it before fitting.
-    """
 
 
 class SeriesTooShort(InvalidInput):

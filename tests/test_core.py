@@ -28,12 +28,7 @@ from plcc.core import (
     unit_scaled,
 )
 from plcc.detrended import DetrendConfig, JointFluctuations, default_scale_grid
-from plcc.errors import (
-    DegenerateInput,
-    InvalidInput,
-    InvalidParameter,
-    NonPositiveOrdinate,
-)
+from plcc.errors import DegenerateInput, InvalidInput, InvalidParameter
 from plcc.montecarlo import ExperimentConfig, feasibility_sweep, run_experiment, split_seed
 from plcc.powerlaw import classify, coherency_report
 from plcc.spectral import coherency, estimate_h_logperiodogram
@@ -302,7 +297,7 @@ def test_fit_loglog_validation():
         fit_loglog(np.array([1.0, 2.0, 3.0]), divisor=2.0)
     bad = good.copy()
     bad[2, 1] = -1.0
-    with pytest.raises(NonPositiveOrdinate):
+    with pytest.raises(InvalidInput, match="ordinates must be strictly positive"):
         fit_loglog(bad, divisor=2.0)
     bad = good.copy()
     bad[2, 0] = 0.0

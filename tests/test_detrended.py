@@ -1,5 +1,9 @@
 """Detrended fluctuation statistics: oracle checks, exact identities, bands."""
 
+import gc
+import traceback
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -479,6 +483,40 @@ def test_degenerate_inputs_raise(xy_pair):
         JointFluctuations(const, y, cfg).beta()
     with pytest.raises(InvalidInput):
         JointFluctuations(x, y[:-1], cfg)
+
+
+def _read(jf, name):
+    value = getattr(jf, name)
+    return value() if callable(value) else value
+
+
+@pytest.mark.parametrize(
+    "scale_y, error, readers",
+    [
+        (0.0, DegenerateInput, ["fyy", "hurst_y", "rho", "beta"]),  # a constant side
+        (1e160, InvalidInput, ["fyy", "hurst_y"]),  # F2_y overflows
+    ],
+)
+def test_each_read_of_an_undefined_curve_raises_a_new_exception(xy_pair, scale_y, error, readers):
+    # One stored instance raised on every read would grow its traceback by
+    # the reader's frames each time, and those frames would keep the pass in
+    # a reference cycle that only the cyclic collector frees.
+    x, y, cfg = xy_pair
+    jf = JointFluctuations(x, y * scale_y, cfg)
+    alive = weakref.ref(jf)
+    depths = {name: [] for name in readers}
+    gc.disable()
+    try:
+        for name in readers * 3:
+            try:
+                _read(jf, name)
+            except error as exc:
+                depths[name].append(len(traceback.extract_tb(exc.__traceback__)))
+        del jf
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert all(len(d) == 3 and len(set(d)) == 1 for d in depths.values()), depths
 
 
 def test_zero_variance_gates_of_rho_and_beta(xy_pair):

@@ -12,7 +12,7 @@ The package's public names are the union of the layer modules' ``__all__``
 lists. Each name appears once, and each module lists only names it defines,
 so no star import can shadow one module's name with another's. The list of
 public names is written out below, so that adding or removing one is an
-edit to this file.
+edit to this file, and README names each of them.
 
 Importing the command line leaves the thread pool out: only a Monte Carlo
 run with more than one job needs it. It leaves the analysis and Monte Carlo
@@ -121,20 +121,33 @@ def test_public_names_are_unique_and_defined_where_listed():
 PUBLIC_NAMES = [
     "CellStats", "CoherencyReport", "DegenerateInput", "DetrendConfig", "ESTIMATORS",
     "EstimationFailed", "ExperimentConfig", "ExperimentResult", "GAUSSIAN", "InvalidInput",
-    "InvalidParameter", "JointFluctuations", "McArfimaSpec", "NonPositiveOrdinate", "PlccError",
+    "InvalidParameter", "JointFluctuations", "McArfimaSpec", "PlccError",
     "REGIME_ANTI_COINTEGRATION", "REGIME_INFEASIBLE", "REGIME_STANDARD", "STUDENT_T",
     "ScalingFit", "SeriesTooShort", "TruncationWarning", "__version__", "arfima_weights",
     "classify", "coherency", "coherency_report", "correlated_innovations", "cross_periodogram",
     "default_scale_grid", "estimate_h_logperiodogram", "estimate_hxy_logcross",
     "feasibility_sweep", "filter_mc_arfima", "fit_loglog", "generate_arfima",
-    "generate_mc_arfima", "h_rho_frequency", "min_scale_for_order", "periodogram", "profile",
-    "rho_decay", "run_experiment", "series_values", "split_seed", "standard_regimes",
-    "theoretical_exponents",
+    "generate_mc_arfima", "h_rho_frequency", "periodogram", "rho_decay", "run_experiment",
+    "split_seed", "standard_regimes", "theoretical_exponents",
 ]
+
+# module names that the package does not export
+UNEXPORTED = {"core": ["profile", "series_values"], "detrended": ["min_scale_for_order"]}
 
 
 def test_public_names_are_the_pinned_list():
     assert sorted(plcc.__all__) == PUBLIC_NAMES
+    for module, names in UNEXPORTED.items():
+        for name in names:
+            assert not hasattr(plcc, name), name
+            assert callable(getattr(importlib.import_module(f"plcc.{module}"), name)), name
+    assert not any(hasattr(m, "NonPositiveOrdinate") for m in (plcc, plcc.errors))
+
+
+def test_readme_names_every_public_name():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    missing = [name for name in plcc.__all__ if f"`{name}`" not in readme]
+    assert not missing, f"public names README does not name: {missing}"
 
 
 def _int_comparisons(path: pathlib.Path) -> list[str]:
