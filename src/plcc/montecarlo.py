@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .arfima import McArfimaSpec, generate_mc_arfima
-from .core import require_int, require_positive
+from .core import require_int, require_positive, scaled_back, unit_scaled
 from .detrended import DetrendConfig, JointFluctuations, default_scale_grid
 from .errors import EstimationFailed, InvalidInput, InvalidParameter, PlccError
 from .powerlaw import h_rho_frequency, rho_decay
@@ -308,13 +308,18 @@ def _cell_from_samples(measurement, length, target, samples) -> CellStats:
     n_failed = len(samples) - done.size
     stats = [None] * 6  # mean, std, bias and the 5/50/95 % quantiles
     if done.size:
-        mean = float(done.mean())
-        stats = [
-            mean,
-            float(done.std(ddof=1)) if done.size > 1 else 0.0,
-            mean - target if target is not None else None,
-            *(float(q) for q in np.quantile(done, [0.05, 0.5, 0.95])),
-        ]
+        # read at unit scale, so that a sum or a square of samples as large
+        # as beta's cannot overflow; the power of two leaves every digit
+        unit, k = unit_scaled(done)
+        mean, std, *quantiles = scaled_back(
+            np.array([
+                unit.mean(),
+                unit.std(ddof=1) if done.size > 1 else 0.0,
+                *np.quantile(unit, [0.05, 0.5, 0.95]),
+            ]),
+            k, f"{measurement} statistics at length {length}",
+        ).tolist()
+        stats = [mean, std, mean - target if target is not None else None, *quantiles]
     return CellStats(
         measurement, length, target, done.size, n_failed, n_failed > 0.2 * len(samples),
         *stats, tuple(samples),

@@ -179,6 +179,8 @@ def _config_runs(draw):
 @example(run=("generate", {"spec.alpha": b"1e160"}))
 @example(run=("mc", {"spec.alpha": b"1e160", "mc.estimators": b"rho, beta, logcross"}))
 @example(run=("suite", {"mc.length": b"-1e160"}))
+# beta near 1e158 used to overflow its cell std and crash the JSON writer
+@example(run=("mc", {"spec.delta": b"1e160", "mc.estimators": b"rho, beta, logcross"}))
 def test_config_exit_code_outputs_and_replay_follow_the_contract(run):
     kind, edits = run
     entries, argv = CONFIG_RUNS[kind]

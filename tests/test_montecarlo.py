@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcc.arfima import McArfimaSpec
-from plcc.errors import InvalidParameter
+from plcc.errors import InvalidInput, InvalidParameter
 from plcc.fileio import json_dumps
 from plcc.montecarlo import (
     ESTIMATORS,
     ExperimentConfig,
+    _cell_from_samples,
     feasibility_sweep,
     run_experiment,
     split_seed,
@@ -230,6 +231,29 @@ def test_cell_moments_match_hand_computation(small_result):
     q05, q50, q95 = np.quantile(done, [0.05, 0.5, 0.95])
     assert (cell.q05, cell.q50, cell.q95) == (q05, q50, q95)
     assert cell.to_dict()["samples"] == list(cell.samples)
+
+
+def test_moments_of_samples_as_large_as_beta_stay_finite():
+    # y weighted 1e160 against x puts beta_median near 1e158, whose squared
+    # deviations overflow; the moments are read at unit scale instead
+    spec = McArfimaSpec(1, 1, 1, 1e160, 0.3, 0.1, 0.4, 0.2, FULL)
+    cfg = ExperimentConfig(spec, (256,), 3, ("beta",), master_seed=5)
+    res = run_experiment(cfg)
+    cell = res.cell("beta_median", 256)
+    done = np.array(cell.samples)
+    assert cell.n_completed == 3 and np.all(np.abs(done) > 1e150)
+    k = np.frexp(np.abs(done).max())[1]
+    unit = np.ldexp(done, -k)
+    assert cell.mean == np.ldexp(unit.mean(), k)
+    assert cell.std == np.ldexp(unit.std(ddof=1), k)
+    assert [cell.q05, cell.q50, cell.q95] == list(np.ldexp(np.quantile(unit, [0.05, 0.5, 0.95]), k))
+    json_dumps(res.to_dict())
+
+
+def test_a_spread_past_the_largest_double_is_refused():
+    big = float(np.finfo(float).max)
+    with pytest.raises(InvalidInput, match="beta_median statistics at length 256 overflow"):
+        _cell_from_samples("beta_median", 256, None, [big, -big, None])
 
 
 def test_replication_seeds_shared_across_lengths(small_result):
