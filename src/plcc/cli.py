@@ -304,34 +304,34 @@ def _analyze_coherency(x, y, params, doc) -> str | None:
     return None
 
 
-def _analyze_hrho(x, y, params, doc) -> str | None:
-    from .powerlaw import h_rho_frequency, rho_decay
+def _coherency_report(x, y, params, tolerance: float = 0.05):
+    """``coherency_report`` on the grid and band that ``params`` resolve to."""
+    from .powerlaw import coherency_report
     from .spectral import resolve_n_freqs
 
     cfg = _resolve_grid(params, x.size)
     n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
-    jf = _fluctuations(x, y, cfg, doc)
-    failures: dict = {}
-    doc["values"] = [float(r) for r in jf.rho()]
-    time_fit = freq_fit = None
-    try:
-        time_fit = rho_decay(jf)
-    except EstimationFailed as exc:
-        failures["time"] = str(exc)
-    try:
-        freq_fit = h_rho_frequency(x, y, n, params["bandwidth"])
-    except EstimationFailed as exc:
-        failures["freq"] = str(exc)
-    doc["channels"] = {"time": fit_to_dict(time_fit), "freq": fit_to_dict(freq_fit)}
-    if time_fit is not None:
-        doc.update(estimate=time_fit.exponent, stderr=time_fit.stderr, r2=time_fit.r_squared)
-        doc["diagnostics"] = dict(time_fit.diagnostics)
-        doc["plot"] = _plot_block(
-            doc["scales"],
-            [v * v for v in doc["values"]],
-            time_fit.intercept,
-            4.0 * time_fit.exponent,
-        )
+    return coherency_report(
+        x, y, detrend=cfg, n_freqs=n, bandwidth=params["bandwidth"], tolerance=tolerance
+    )
+
+
+def _analyze_hrho(x, y, params, doc) -> str | None:
+    """The report's two H_rho channels; a pass that gives no rho is a usage error."""
+    rep = _coherency_report(x, y, params)
+    if rep.rho_curve is None:
+        raise InvalidInput(rep.failures["h_rho_time"])
+    doc["scales"], doc["values"] = map(list, zip(*rep.rho_curve))
+    fit = rep.h_rho_time
+    doc["channels"] = {"time": fit_to_dict(fit), "freq": fit_to_dict(rep.h_rho_freq)}
+    if fit is not None:
+        doc.update(estimate=fit.exponent, stderr=fit.stderr, r2=fit.r_squared)
+        doc["diagnostics"] = dict(fit.diagnostics)
+        squared = [v * v for v in doc["values"]]
+        doc["plot"] = _plot_block(doc["scales"], squared, fit.intercept, 4.0 * fit.exponent)
+    failures = {
+        k: rep.failures[f"h_rho_{k}"] for k in ("time", "freq") if f"h_rho_{k}" in rep.failures
+    }
     if failures:
         doc["diagnostics"] = {**doc["diagnostics"], "failures": failures}
         return "; ".join(f"{k}: {v}" for k, v in failures.items())
@@ -339,17 +339,9 @@ def _analyze_hrho(x, y, params, doc) -> str | None:
 
 
 def _analyze_report(x, y, params, doc) -> str | None:
-    from .powerlaw import coherency_report
-    from .spectral import resolve_n_freqs
-
-    cfg = _resolve_grid(params, x.size)
-    n = params["n_freqs"] = resolve_n_freqs(params.get("n_freqs"), x.size)
-    rep = coherency_report(
-        x, y, detrend=cfg, n_freqs=n, bandwidth=params["bandwidth"], tolerance=params["tolerance"]
-    )
+    rep = _coherency_report(x, y, params, params["tolerance"])
     if "h_rho_time" not in rep.failures:
-        doc["scales"] = [s for s, _ in rep.rho_curve]
-        doc["values"] = [r for _, r in rep.rho_curve]
+        doc["scales"], doc["values"] = map(list, zip(*rep.rho_curve))
     doc["estimate"] = rep.h_rho_diff
     doc["channels"] = {
         "h_x": fit_to_dict(rep.h_x),
@@ -390,6 +382,7 @@ _PARAMETER_TYPES = {
     "out": _PATH,
     "out_dir": _PATH,
     "output": ("'pair' or 'x'", lambda v: v in ("pair", "x")),
+    "mode": ("'suite' or 'single'", lambda v: v in ("suite", "single")),
     "min_rows": ("an integer", is_integer),
     "order": ("an integer", is_integer),
     "bandwidth": ("an integer", is_integer),
@@ -614,7 +607,9 @@ def _run(
         if modified:
             _fail("original modified since the manifest was written: " + ", ".join(modified))
             return 1, {}
-    for name, (kind, holds) in _PARAMETER_TYPES.items():
+    # an analysis names its subcommand once more, and a recorded one must agree
+    types = {**_PARAMETER_TYPES, "analysis": (repr(sub), lambda v: v == sub)}
+    for name, (kind, holds) in types.items():
         if name in params and not holds(params[name]):
             raise InvalidParameter(
                 f"manifest parameter '{name}' must be {kind}, got {params[name]!r}"

@@ -206,6 +206,7 @@ class JointFluctuations:
             error_y = DegenerateInput(_ZERO_VARIANCE) if is_constant(vy) else grid_error
         self._pair_error = error_x or error_y
         self._shown = [error_x, error_y, self._pair_error]  # each curve, or why it is undefined
+        self._rho = None  # set by the first successful rho() read
         self.scales = cfg.scale_grid
         if grid_error is not None:
             return
@@ -287,13 +288,17 @@ class JointFluctuations:
         return _fit_scaling(self.scales, self.fxy, divisor=2.0)
 
     def rho(self) -> np.ndarray:
-        """Scale-specific correlation F2_xy / sqrt(F2_x F2_y), within [-1, 1]."""
-        if self._pair_error:
-            raise _raised(self._pair_error)
-        fxx, fyy = self._fxx, self._fyy
-        if np.any(fxx <= 0) or np.any(fyy <= 0):
-            raise DegenerateInput("zero detrended variance at some scale")
-        return np.clip(self._fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
+        """Scale-specific correlation F2_xy / sqrt(F2_x F2_y), within [-1, 1];
+        computed on the first read, which every later read returns, read-only."""
+        if self._rho is None:
+            if self._pair_error:
+                raise _raised(self._pair_error)
+            fxx, fyy = self._fxx, self._fyy
+            if np.any(fxx <= 0) or np.any(fyy <= 0):
+                raise DegenerateInput("zero detrended variance at some scale")
+            self._rho = np.clip(self._fxy / np.sqrt(fxx * fyy), -1.0, 1.0)
+            self._rho.flags.writeable = False
+        return self._rho
 
     def beta(self) -> np.ndarray:
         """Scale-specific regression coefficient F2_xy / F2_x; ``x`` regresses.

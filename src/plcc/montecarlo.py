@@ -42,20 +42,20 @@ __all__ = [
 
 # Each measurement once: its estimator token, the ``theoretical_exponents``
 # key it targets (None: no target), whether it reads the detrended pass, and
-# its reader (the pair's cached pass, x, y, the config and the length).
+# its reader (the pair's pass, x, y, the config and the length).
 _MEASUREMENTS = {
-    "dfa_hx": ("dfa", "h_x", True, lambda jf, x, y, cfg, n: jf().hurst_x().exponent),
-    "dfa_hy": ("dfa", "h_y", True, lambda jf, x, y, cfg, n: jf().hurst_y().exponent),
-    "dcca_hxy": ("dcca", "h_xy", True, lambda jf, x, y, cfg, n: _gated_hxy(jf(), n)),
+    "dfa_hx": ("dfa", "h_x", True, lambda jf, x, y, cfg, n: jf.hurst_x().exponent),
+    "dfa_hy": ("dfa", "h_y", True, lambda jf, x, y, cfg, n: jf.hurst_y().exponent),
+    "dcca_hxy": ("dcca", "h_xy", True, lambda jf, x, y, cfg, n: _gated_hxy(jf, n)),
     "logperiodogram_hx": ("logperiodogram", "h_x", False, lambda jf, x, y, cfg, n:
                           estimate_h_logperiodogram(x, cfg.n_freqs).exponent),
     "logperiodogram_hy": ("logperiodogram", "h_y", False, lambda jf, x, y, cfg, n:
                           estimate_h_logperiodogram(y, cfg.n_freqs).exponent),
     "logcross_hxy": ("logcross", "h_xy", False, lambda jf, x, y, cfg, n:
                      estimate_hxy_logcross(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
-    "rho_median": ("rho", None, True, lambda jf, x, y, cfg, n: np.median(jf().rho())),
-    "beta_median": ("beta", None, True, lambda jf, x, y, cfg, n: np.median(jf().beta())),
-    "h_rho_time": ("h_rho_time", "h_rho", True, lambda jf, x, y, cfg, n: rho_decay(jf()).exponent),
+    "rho_median": ("rho", None, True, lambda jf, x, y, cfg, n: np.median(jf.rho())),
+    "beta_median": ("beta", None, True, lambda jf, x, y, cfg, n: np.median(jf.beta())),
+    "h_rho_time": ("h_rho_time", "h_rho", True, lambda jf, x, y, cfg, n: rho_decay(jf).exponent),
     "h_rho_freq": ("h_rho_freq", "h_rho", False, lambda jf, x, y, cfg, n:
                    h_rho_frequency(x, y, cfg.n_freqs, cfg.bandwidth).exponent),
 }
@@ -291,15 +291,14 @@ def _detrend_config(cfg: ExperimentConfig, length: int) -> DetrendConfig | None:
 def _evaluate_pair(x, y, cfg: ExperimentConfig, detrend: DetrendConfig | None, length: int) -> dict:
     """The requested measurements of one generated pair that succeeded, by name.
 
-    ``detrend`` is what :func:`_detrend_config` returns at ``length``.
+    ``detrend`` is what :func:`_detrend_config` returns at ``length``; one
+    pass serves every detrended measurement.
     """
-    # one pass serves every detrended measurement; a pass that raises fails
-    # each of them
-    fluct = functools.cache(lambda: JointFluctuations(x, y, detrend))
+    jf = None if detrend is None else JointFluctuations(x, y, detrend)
     values: dict = {}
     for name in cfg.measurements:
         with suppress(PlccError):
-            values[name] = float(_MEASUREMENTS[name][3](fluct, x, y, cfg, length))
+            values[name] = float(_MEASUREMENTS[name][3](jf, x, y, cfg, length))
     return values
 
 

@@ -1,13 +1,18 @@
 """End-to-end command line checks, run in process through ``main(argv)``."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plcc.arfima import generate_arfima
 from plcc.cli import main
@@ -545,6 +550,57 @@ def test_hrho_without_the_frequency_channel_keeps_the_time_channel(
     assert b["error"] == "freq: no frequency decay"
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    length=st.sampled_from([512, 1000, 2048]),
+    order=st.sampled_from([1, 2]),
+    coupling=st.sampled_from([0.0, 0.5, 2.0]),
+    band=st.sampled_from([[], ["--nfreqs", "16", "--bandwidth", "5"]]),
+    constant=st.sampled_from([None, "x", "y"]),
+)
+@example(seed=3, length=512, order=1, coupling=0.5, band=[], constant="y")
+def test_hrho_reads_the_two_h_rho_channels_of_the_report(
+    seed, length, order, coupling, band, constant
+):
+    # hrho is a view of the report on the same file and flags: its time and
+    # freq channels, failures and rho curve are the report's h_rho_time and
+    # h_rho_freq; a pass that gives no rho fails hrho with the report's
+    # h_rho_time reason (exit 2, nothing written), while the report records it
+    x = generate_arfima(0.3, length, seed)
+    y = coupling * x + generate_arfima(0.2, length, seed + 1)
+    if constant is not None:
+        x, y = (np.full(length, 1.5), y) if constant == "x" else (x, np.full(length, 1.5))
+    flags = ["--order", str(order), *band]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "pair.csv")
+        write_series_csv(path, x, y)
+        outs = {sub: os.path.join(root, f"{sub}.json") for sub in ("hrho", "report")}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["hrho", path, "--out", outs["hrho"], *flags])
+            report_code = main(["report", path, "--out", outs["report"], *flags])
+        report = json.load(open(outs["report"]))
+        failures = report["diagnostics"].get("failures", {})
+        if constant is not None:
+            assert code == 2 and report_code == 4
+            assert err.getvalue().startswith(f"plcc: error: {failures['h_rho_time']}\n")
+            assert not os.path.exists(outs["hrho"])
+            return
+        doc = json.load(open(outs["hrho"]))
+    assert doc["channels"] == {
+        "time": report["channels"]["h_rho_time"], "freq": report["channels"]["h_rho_freq"]
+    }
+    own = {k: failures[f"h_rho_{k}"] for k in ("time", "freq") if f"h_rho_{k}" in failures}
+    assert doc["diagnostics"].get("failures", {}) == own
+    assert code == (4 if own else 0)
+    if report["values"] is not None:
+        assert (doc["scales"], doc["values"]) == (report["scales"], report["values"])
+    assert doc["scales"] == report["manifest"]["parameters"]["scale_grid"]
+    for key in ("scale_grid", "n_freqs", "bandwidth", "order"):
+        assert doc["manifest"]["parameters"][key] == report["manifest"]["parameters"][key]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -685,6 +741,16 @@ def test_replay_refuses_malformed_manifests(tmp_path, capsys, monkeypatch):
          "not 'summary', no leading '.', no path separator and no NUL"),
         (mc, ["config_echo"], {"estimators": ["dfa", "dcca", "dfa"]},
          "estimators must not repeat an entry, got ['dfa', 'dcca', 'dfa']"),
+        # the recorded analysis must be the record's subcommand and the mode
+        # one that mc records: an unknown one used to be reported as a
+        # missing key, and another analysis used to run in its place
+        ("fit.json", [], {"analysis": "nonsense"},
+         "manifest parameter 'analysis' must be 'dcca', got 'nonsense'"),
+        ("fit.json", [], {"analysis": 5}, "manifest parameter 'analysis' must be 'dcca', got 5"),
+        ("fit.json", [], {"analysis": "dfa"},
+         "manifest parameter 'analysis' must be 'dcca', got 'dfa'"),
+        (suite, [], {"mode": "bogus"},
+         "manifest parameter 'mode' must be 'suite' or 'single', got 'bogus'"),
     ):
         doc = json.loads(json.dumps(real[name]))
         record = doc["parameters"]

@@ -444,10 +444,12 @@ def test_curves_are_read_only(xy_pair):
     x, y, cfg = xy_pair
     jf = JointFluctuations(x, y, cfg)
     rho = jf.rho()
-    for curve in (jf.fxx, jf.fyy, jf.fxy):
+    for curve in (jf.fxx, jf.fyy, jf.fxy, rho):
         with pytest.raises(ValueError):
             curve[:] *= 4
     assert np.array_equal(jf.rho(), rho)
+    # rho is computed once per pass: a later read is the same array
+    assert jf.rho() is rho
 
 
 @pytest.mark.parametrize("value", [0.1, 0.3, 7.7, 1.5])
