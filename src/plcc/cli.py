@@ -153,14 +153,14 @@ def _parse_scales_flag(text: str) -> tuple[int, int, int]:
 
 def _resolve_grid(params: dict, length: int):
     """Build the detrending config, materializing the grid into the params."""
-    from .detrended import DetrendConfig, default_scale_grid
+    from .detrended import DetrendConfig, default_scale_grid, geometric_scales
 
     order = params["order"]
     if params.get("scale_grid"):
         grid = np.asarray(params["scale_grid"], dtype=int)
     elif params.get("scales"):
         lo, hi, count = _parse_scales_flag(params["scales"])
-        grid = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
+        grid = geometric_scales(lo, hi, count)
     else:
         grid = default_scale_grid(length, order)
     cfg = DetrendConfig(grid, order)

@@ -5,6 +5,14 @@ the start and the end (``2 * (T // s)`` boxes per scale), a polynomial trend
 is removed in every box, and the mean residual product per box is averaged
 across boxes. With one series that average is a variance-like curve growing
 as ``s**(2H)``; with two series it is the covariance-like analogue.
+
+A pass works in flat buffers of ``2 * T`` doubles that it allocates once and
+reuses at every scale: the boxes of x, the boxes of y (a pair only) and one
+scratch buffer, which holds first the trend projection and then the residual
+products. The matrix of a scale is a C-ordered ``(2 * (T // s), s)`` view of
+a buffer's first ``2 * (T // s) * s`` elements, the forward boxes above the
+backward ones, so every matrix product has the shape it would have in a fresh
+array, and BLAS, whose rounding depends on the row count, gives the same bits.
 """
 
 from __future__ import annotations
@@ -99,21 +107,33 @@ def default_scale_grid(
     capping the top is useful when a cross signal drowns in fluctuation noise
     at large scales.
     """
-    lo = min_scale_for_order(_checked_order(poly_order))
+    lo = floor = min_scale_for_order(_checked_order(poly_order))
     n_scales = require_int("n_scales", n_scales, 5)
     if min_scale is not None:
         lo = max(lo, require_int("min_scale", min_scale))
-    hi = require_int("length", length) // 5
+    hi = top = require_int("length", length) // 5
     if max_scale is not None:
         hi = min(hi, require_int("max_scale", max_scale))
     if hi < lo:
         raise SeriesTooShort(
             f"length {length} leaves no admissible scales for order {poly_order}"
         )
-    grid = np.unique(np.round(np.geomspace(lo, hi, n_scales)).astype(int))
+    grid = geometric_scales(lo, hi, n_scales)
     if grid.size < 5:
-        raise SeriesTooShort(f"length {length} yields fewer than 5 distinct scales")
+        # blame the length only when min_scale and max_scale did not narrow the range
+        cause = f"length {length}" if (lo, hi) == (floor, top) else f"the scale range {lo}..{hi}"
+        raise SeriesTooShort(f"{cause} yields fewer than 5 distinct scales")
     return grid
+
+
+def geometric_scales(lo: int, hi: int, count: int) -> np.ndarray:
+    """The distinct integers, ascending, of ``count`` log-spaced points from
+    ``lo`` to ``hi`` rounded to nearest: ``np.unique`` of them, without the
+    ``numpy.ma`` import that ``np.unique`` costs a process on its first call."""
+    grid = np.sort(np.round(np.geomspace(lo, hi, count)).astype(int))
+    keep = np.ones(grid.size, dtype=bool)
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    return grid[keep]
 
 
 # =========================================================================
@@ -138,19 +158,22 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     return q
 
 
-def _box_residuals(pv: np.ndarray, s: int, order: int) -> np.ndarray:
-    """Residual matrix (2*(T//s), s) of box-wise polynomial detrending.
+def _box_residuals(pv: np.ndarray, s: int, order: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Residual matrix (2*(T//s), s) of box-wise polynomial detrending, as a
+    view of the flat buffer ``out``; ``scratch`` takes the trend projection.
 
     The forward boxes fill the top half and the backward boxes the bottom
     half; the trend projection is subtracted in place.
     """
     t = pv.size
     ns = t // s
-    boxes = np.empty((2 * ns, s))
+    boxes = out[: 2 * ns * s].reshape(2 * ns, s)
     boxes[:ns] = pv[: ns * s].reshape(ns, s)
     boxes[ns:] = pv[t - ns * s :].reshape(ns, s)
     q = _detrend_basis(s, order)
-    boxes -= (boxes @ q) @ q.T
+    trend = scratch[: boxes.size].reshape(boxes.shape)
+    np.matmul(boxes @ q, q.T, out=trend)
+    boxes -= trend
     return boxes
 
 
@@ -216,18 +239,21 @@ class JointFluctuations:
         px = profile(vx)
         py = None if y is None else profile(vy)
         del vx, vy  # the scaled copies: the box pass reads only the profiles
+        # the flat buffers of the module docstring, owned by this pass alone
+        box_x, scratch = np.empty(2 * t), np.empty(2 * t)
+        box_y = None if py is None else np.empty(2 * t)
         curves = np.empty((1 if py is None else 3, cfg.scale_grid.size))
         for i, s in enumerate(cfg.scale_grid):
             s = int(s)
-            rx = _box_residuals(px, s, cfg.poly_order)
+            rx = _box_residuals(px, s, cfg.poly_order, box_x, scratch)
             factors = [(rx, rx)]
             if py is not None:
-                ry = _box_residuals(py, s, cfg.poly_order)
+                ry = _box_residuals(py, s, cfg.poly_order, box_y, scratch)
                 factors += [(ry, ry), (rx, ry)]
             # box statistic = mean residual product; curve value = mean over
             # boxes. Row sums divided by s, then their sum divided by the box
             # count, is the arithmetic of .mean(axis=1).mean(), bit for bit.
-            product = np.empty_like(rx)
+            product = scratch[: rx.size].reshape(rx.shape)
             rows = np.empty((len(factors), rx.shape[0]))
             for j, (a, b) in enumerate(factors):
                 np.multiply(a, b, out=product)

@@ -51,6 +51,10 @@ _WRITE_BLOCK = 1 << 14
 # does not (it strips only ASCII whitespace and maps non-ASCII spaces).
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+# Characters of a CSV scanned at a time for those separators, so that the
+# scan does not hold the whole file as one string.
+_SCAN_BLOCK = 1 << 20
+
 # The cell kernel. For a finite |v| in [1e-4, 1e16), ``'%.17g' % v`` prints
 # fixed notation: the 17-digit integer D nearest |v| * 10**(16 - X), ties to
 # even, where X = floor(log10 |v|), with the point after digit X, trailing
@@ -216,14 +220,18 @@ def _parse_numeric(path) -> np.ndarray | None:
     with open(path, encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         first = next((row for row in rows if row), None)
-        skip = 0 if first is None or _is_numeric_row(first) else rows.line_num
+        if first is None:
+            return None
+        skip = 0 if _is_numeric_row(first) else rows.line_num
         # the first row is a header numpy skips or cells float() accepted,
         # so only the rest needs the scan for separators
-        rest = fh.read()
-        blank = skip and not rest.strip("\n")
-        if first is None or blank or any(c in rest for c in _SEPARATORS):
+        blank = bool(skip)
+        for block in iter(functools.partial(fh.read, _SCAN_BLOCK), ""):
+            if any(c in block for c in _SEPARATORS):
+                return None
+            blank = blank and not block.strip("\n")
+        if blank:
             return None
-        del rest
         fh.seek(0)
         data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=skip)
     return data if data.shape[1] in (2, 3) else None
@@ -232,9 +240,13 @@ def _parse_numeric(path) -> np.ndarray | None:
 def _read_rows(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Row-by-row reader: the path for quoted cells, ``1_0`` and a non-numeric
     time column, and the one whose errors name the physical line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError as exc:
+        # the block scan of _parse_numeric may stop before the bad byte
+        raise _not_utf8(path, exc) from None
     if not rows:
         raise InvalidInput(f"{path}: file holds no data rows")
     start = 0

@@ -1271,6 +1271,11 @@ def test_mc_config_errors(tmp_path, capsys):
     assert main(["mc", bad_grid, "--out-dir", str(tmp_path / "o6")]) == 2
     assert "length 512 leaves no admissible scales" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o6")
+    # a range that min_scale and max_scale narrowed is named, not the length
+    narrow = _write(tmp_path / "m6n.cfg", MC_SINGLE_CFG + "mc.scale_min = 50\nmc.scale_max = 53\n")
+    assert main(["mc", narrow, "--out-dir", str(tmp_path / "o6n")]) == 2
+    assert "the scale range 50..53 yields fewer than 5 distinct scales" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o6n")
     short_suite = _write(
         tmp_path / "m7.cfg", "mc.suite = standard-regimes\nmc.length = 512\nmc.replications = 2\n"
     )

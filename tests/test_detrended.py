@@ -16,6 +16,7 @@ from plcc.detrended import (
     _detrend_basis,
     _fit_scaling,
     default_scale_grid,
+    geometric_scales,
     min_scale_for_order,
 )
 from plcc.errors import (
@@ -65,8 +66,28 @@ def test_default_scale_grid_bounds():
 def test_default_scale_grid_too_short():
     with pytest.raises(SeriesTooShort):
         default_scale_grid(40)
-    with pytest.raises(SeriesTooShort):
-        default_scale_grid(4096, min_scale=500, max_scale=503)
+    # the length is named only when min_scale and max_scale left its range as it was
+    for length, bounds, cause in [
+        (4096, {"min_scale": 500, "max_scale": 503}, "the scale range 500..503"),
+        (4096, {"min_scale": 817}, "the scale range 817..819"),
+        (4096, {"max_scale": 14}, "the scale range 12..14"),
+        (64, {}, "length 64"),
+    ]:
+        with pytest.raises(SeriesTooShort) as info:
+            default_scale_grid(length, **bounds)
+        assert str(info.value) == f"{cause} yields fewer than 5 distinct scales"
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(1, 10**6), span=st.integers(1, 10**6), count=st.integers(0, 300))
+@example(lo=12, span=0, count=20)
+@example(lo=500, span=3, count=20)
+def test_geometric_scales_is_unique_of_the_rounded_geomspace(lo, span, count):
+    hi = lo + span
+    expected = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
+    got = geometric_scales(lo, hi, count)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_default_scale_grid_refuses_fewer_than_five_scales():

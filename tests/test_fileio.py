@@ -13,6 +13,7 @@ from plcc.arfima import McArfimaSpec, generate_mc_arfima
 from plcc.core import fit_loglog
 from plcc.errors import InvalidInput, InvalidParameter
 from plcc.fileio import (
+    _SCAN_BLOCK,
     _WRITE_BLOCK,
     build_manifest,
     config_float,
@@ -220,6 +221,9 @@ def test_series_csv_renders_a_long_pair_as_percent_17g(tmp_path, name):
 
 _NAN, _INF = math.nan, math.inf
 
+# enough pair rows to fill the first block of the reader's separator scan
+_BLOCK_ROWS = _SCAN_BLOCK // len("0,1,2\n") + 1
+
 # (file text, expected (x, y) or (error type, message after "<path>: "))
 _READ_CONTRACT = {
     "empty file": ("", (InvalidInput, "file holds no data rows")),
@@ -270,13 +274,25 @@ _READ_CONTRACT = {
     "bad cell after CR-only blank lines": (
         "t,x\r\r0,1\r\r1,spam\r",
         (InvalidInput, "line 5: could not convert string to float: 'spam'")),
+
+    # the scan reads the text after the first row block by block, to the end
+    "unit separator past the first scan block": (
+        "t,x,y\n" + "0,1,2\n" * _BLOCK_ROWS + "0,1,2\x1f\n",
+        (InvalidInput, f"line {_BLOCK_ROWS + 2}: could not convert string to float: '2\\x1f'")),
+    "header and blank lines past the first scan block": (
+        "t,x,y\n" + "\n" * (_SCAN_BLOCK + 1),
+        (InvalidInput, "file holds a header but no data rows")),
+    "data row after a scan block of blank lines": (
+        "t,x,y\n" + "\n" * (_SCAN_BLOCK + 1) + "0,1,2\n", ([1.0], [2.0])),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, expected", list(_READ_CONTRACT.values()),
                          ids=list(_READ_CONTRACT))
 def test_series_reader_contract(tmp_path, text, expected):
-    # values are compared by bytes; errors name the physical line of the row
+    # values are compared by bytes; errors name the physical line of the row;
+    # no case warns, as numpy's reader does on a header and blank lines
     path = tmp_path / "c.csv"
     path.write_bytes(text.encode())
     if isinstance(expected[0], type):
@@ -292,6 +308,15 @@ def test_series_reader_contract(tmp_path, text, expected):
         assert y is None
     else:
         assert y.tobytes() == np.array(want_y, dtype=float).tobytes()
+
+
+def test_series_reader_refuses_a_byte_that_is_not_utf8_past_a_separator(tmp_path):
+    # the scan stops at the separator, so the row reader is the first to decode the byte
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"t,x,y\n0,1,2\x1f\n" + b"0,1,2\n" * _BLOCK_ROWS + b"\xff\n")
+    with pytest.raises(InvalidInput) as info:
+        read_series_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
 
 # =========================================================================

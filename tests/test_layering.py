@@ -18,7 +18,7 @@ Importing the command line leaves the thread pool out: only a Monte Carlo
 run with more than one job needs it. It leaves the analysis and Monte Carlo
 layers out too, and ``generate`` and its replay never load them: the
 package loads those layers on first use, and still resolves every public
-name.
+name. ``dcca`` and ``report`` leave ``numpy.ma`` out.
 
 What an integer or a number parameter is, is decided in ``core`` alone: no
 other module imports ``numbers``, and no module tests a value by comparing
@@ -132,7 +132,10 @@ PUBLIC_NAMES = [
 ]
 
 # module names that the package does not export
-UNEXPORTED = {"core": ["profile", "series_values"], "detrended": ["min_scale_for_order"]}
+UNEXPORTED = {
+    "core": ["profile", "series_values"],
+    "detrended": ["geometric_scales", "min_scale_for_order"],
+}
 
 
 def test_public_names_are_the_pinned_list():
@@ -227,6 +230,23 @@ def test_cli_import_generate_and_replay_leave_the_analysis_layers_out(tmp_path):
     )
     loaded = [line for line in _fresh(code, cwd=tmp_path).splitlines() if line.startswith("[")]
     assert loaded == ["[]", "[]", "['plcc.detrended']"]
+
+
+def test_dcca_and_report_leave_numpy_ma_out(tmp_path):
+    # np.unique imports numpy.ma, 1.8 MB of resident memory, on its first
+    # call; the scale grids of the default and of --scales do without it
+    (tmp_path / "g.cfg").write_text(
+        "length = 4096\nseed = 3\noutput = pair\nspec.d1 = 0.3\nspec.d3 = 0.3\nsigma.13 = 0.5\n"
+    )
+    code = (
+        "import sys, plcc.cli\n"
+        "assert plcc.cli.main(['generate', 'g.cfg', '--out', 'p.csv']) == 0\n"
+        "assert plcc.cli.main(['dcca', 'p.csv', '--out', 'd.json']) == 0\n"
+        "assert plcc.cli.main(['dcca', 'p.csv', '--scales', '16:400:12', '--out', 's.json']) == 0\n"
+        "assert plcc.cli.main(['report', 'p.csv', '--out', 'r.json']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _fresh(code, cwd=tmp_path).splitlines()[-1] == "False"
 
 
 def test_every_public_name_resolves_from_a_fresh_package():
