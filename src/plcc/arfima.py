@@ -39,6 +39,9 @@ _DISTRIBUTIONS = (GAUSSIAN, STUDENT_T)
 # guards the weight-spectrum memo of every McArfimaSpec
 _SPECTRA_LOCK = threading.Lock()
 
+# columns of the innovation streams mixed by one matrix product
+_MIX_BLOCK = 1 << 14
+
 
 # =========================================================================
 # Moving-average weights
@@ -58,8 +61,12 @@ def arfima_weights(d: float, n_terms: int) -> np.ndarray:
     w = np.empty(n)
     w[0] = 1.0
     if n > 1:
+        # the ratios (k - 1 + d) / k, formed in place in one array
         k = np.arange(1.0, n)
-        w[1:] = np.cumprod((k - 1.0 + d) / k)
+        q = k - 1.0
+        q += d
+        q /= k
+        np.cumprod(q, out=w[1:])
     w.flags.writeable = False
     return w
 
@@ -148,17 +155,22 @@ def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _unit_stream(rng: np.random.Generator, dist: str, dof, n: int) -> np.ndarray:
-    z = rng.standard_normal(n)
+def _unit_stream(rng: np.random.Generator, dist: str, dof, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with unit-variance innovations drawn from ``rng``; returns ``out``."""
+    rng.standard_normal(out=out)
     if dist == GAUSSIAN:
-        return z
+        return out
     # Scale-mixture construction of Student-t: z * sqrt(dof / w) with a
     # chi-square mixing variable, standardized to unit variance. Drawing the
     # normal part first means a Gaussian run and a Student-t run under the
     # same seed share the normal path, so paired comparisons across the two
-    # distributions isolate the tail effect (common random numbers).
-    w = rng.chisquare(dof, n)
-    return z * np.sqrt((dof - 2.0) / w)
+    # distributions isolate the tail effect (common random numbers). Each
+    # in-place step rounds as z * np.sqrt((dof - 2.0) / w) does.
+    w = rng.chisquare(dof, out.size)
+    np.divide(dof - 2.0, w, out=w)
+    np.sqrt(w, out=w)
+    out *= w
+    return out
 
 
 def correlated_innovations(sigma, dist: str, length: int, seed, dof=None) -> np.ndarray:
@@ -170,7 +182,11 @@ def correlated_innovations(sigma, dist: str, length: int, seed, dof=None) -> np.
     streams are rescaled to unit variance first so ``sigma`` is the actual
     covariance, not just a shape parameter.
 
-    Returns an array of shape ``(4, length)``.
+    Returns an array of shape ``(4, length)``. The streams are drawn into it
+    and mixed in place, :data:`_MIX_BLOCK` columns per product, so the call
+    holds one such array. Each mixed value is a length-4 dot product whose
+    rounding does not depend on the block, so the values are those of
+    ``factor @ raw``.
     """
     s = _validate_sigma(sigma)
     _validate_dist(dist, dof)
@@ -178,8 +194,12 @@ def correlated_innovations(sigma, dist: str, length: int, seed, dof=None) -> np.
     n = require_int("length", length, 1)
     raw = np.empty((4, n))
     for i in range(4):
-        raw[i] = _unit_stream(np.random.default_rng(base + i), dist, dof, n)
-    return _sigma_factor(s) @ raw
+        _unit_stream(np.random.default_rng(base + i), dist, dof, raw[i])
+    factor = _sigma_factor(s)
+    for start in range(0, n, _MIX_BLOCK):
+        block = raw[:, start : start + _MIX_BLOCK]
+        block[...] = factor @ block
+    return raw
 
 
 # =========================================================================
@@ -317,17 +337,24 @@ def _weight_spectrum(d: float, n_weights: int, n_fft: int) -> np.ndarray:
     return spectrum
 
 
-def _fft_convolve_tail(stream, spectrum, n_weights: int, skip: int, n_keep: int) -> np.ndarray:
+def _transform_buffers(n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complex and real work arrays of one ``n_fft``-point convolution."""
+    return np.empty(n_fft // 2 + 1, dtype=complex), np.empty(n_fft)
+
+
+def _fft_convolve_tail(stream, spectrum, n_weights: int, skip: int, n_keep: int, buffers) -> np.ndarray:
     """Fully-overlapping part of ``stream * weights``: ``n_keep`` samples
-    after the first ``skip``, as a compact copy.
+    after the first ``skip``, as a view of the real work array.
 
     ``spectrum`` is the ``rfft`` of the ``n_weights`` weights at the
     transform size :func:`_transform_length` gives (see
     :func:`_weight_spectrum`). Equivalent to
     ``np.convolve(stream, weights)[n_weights-1+skip:][:n_keep]`` but
     FFT-based; direct convolution is quadratic and unusable at the default
-    truncation lengths. The transform-sized arrays are released on return,
-    so the peak memory is that of one convolution plus the caller's spectra.
+    truncation lengths. Both transforms are written into ``buffers``, a
+    pair from :func:`_transform_buffers` at that size, so a caller that
+    convolves several streams holds one pair, and the view it gets is valid
+    until that pair is used again.
 
     A transform of size ``N`` returns the linear convolution wrapped modulo
     ``N``. For ``W`` weights and a stream of length ``L >= W`` the kept
@@ -338,24 +365,38 @@ def _fft_convolve_tail(stream, spectrum, n_weights: int, skip: int, n_keep: int)
     length instead; the two versions differ only in rounding, by a few units
     in the last place.
     """
-    # every transform size is a power of two, so even
-    n_fft = 2 * (spectrum.size - 1)
+    prod, full = buffers
     start = n_weights - 1 + skip
-    prod = np.fft.rfft(stream, n_fft)
+    np.fft.rfft(stream, full.size, out=prod)
     prod *= spectrum
-    return np.fft.irfft(prod, n_fft)[start : start + n_keep].copy()
+    np.fft.irfft(prod, full.size, out=full)
+    return full[start : start + n_keep]
+
+
+def _live_spectra(spec: McArfimaSpec, n_stream: int) -> list:
+    """Weight spectrum of each component of a resolved spec, None where the
+    component's weight is zero, at the transform size of ``n_stream``-long
+    streams. They come from the spec's memo, which builds them on first use."""
+    n_weights = spec.truncation + 1
+    n_fft = _transform_length(n_stream, n_weights, spec.generator)
+    return [
+        None if weight == 0.0 else spec._spectrum(d, n_weights, n_fft)
+        for weight, d in spec.component_weights()
+    ]
 
 
 def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Apply the moving-average filters of a resolved spec to given streams.
 
-    ``innovations`` must have shape (4, truncation + burn_in + length). This
-    is the deterministic core of :func:`generate_mc_arfima`, exposed so the
-    filtering can be checked independently of the stream generation (for
-    example under a consistent swap of the two sides). Each nonzero-weight
-    component is filtered on its own; the weight spectra come from the
-    spec's memo, so components that share a ``d``, and a second call on the
-    same spec object, transform only the streams.
+    ``innovations`` must have shape (4, truncation + burn_in + length); it
+    is read, never written. This is the deterministic core of
+    :func:`generate_mc_arfima`, exposed so the filtering can be checked
+    independently of the stream generation (for example under a consistent
+    swap of the two sides). Each nonzero-weight component is filtered on its
+    own, through one pair of transform buffers shared by the whole call, and
+    its weighted tail is added into its side's series. The weight spectra
+    come from the spec's memo, so components that share a ``d``, and a
+    second call on the same spec object, transform only the streams.
     """
     if spec.truncation is None or spec.burn_in is None:
         raise InvalidParameter("spec must be resolved before filtering")
@@ -365,15 +406,24 @@ def filter_mc_arfima(spec: McArfimaSpec, innovations: np.ndarray, length: int) -
             f"innovations must have shape (4, {needed}), got {innovations.shape}"
         )
     n_weights = spec.truncation + 1
-    n_fft = _transform_length(needed, n_weights, spec.generator)
-    parts = [np.zeros(length)] * 4
+    spectra = _live_spectra(spec, needed)
+    buffers = _transform_buffers(_transform_length(needed, n_weights, spec.generator))
+    x, y = np.zeros(length), np.zeros(length)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (weight, d) in enumerate(spec.component_weights()):
-            if weight != 0.0:
-                spectrum = spec._spectrum(d, n_weights, n_fft)
-                tail = _fft_convolve_tail(innovations[i], spectrum, n_weights, spec.burn_in, length)
-                parts[i] = weight * tail
-        x, y = parts[0] + parts[1], parts[2] + parts[3]
+        for i, ((weight, _), spectrum) in enumerate(zip(spec.component_weights(), spectra)):
+            side = (x, y)[i // 2]
+            if spectrum is None:
+                # a side is its two weighted tails summed, a zero-weight
+                # one adding zeros
+                if i % 2:
+                    side += 0.0
+                continue
+            tail = _fft_convolve_tail(innovations[i], spectrum, n_weights, spec.burn_in, length, buffers)
+            if i % 2:
+                tail *= weight
+                side += tail
+            else:
+                np.multiply(weight, tail, out=side)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameter("component weights alpha, beta, gamma, delta overflow the pair")
     return x, y
@@ -397,6 +447,9 @@ def generate_mc_arfima(spec: McArfimaSpec, length: int, seed) -> tuple[np.ndarra
     # copy serves this one call and its spectra go with it
     if spec.truncation is None or spec.burn_in is None:
         spec = spec.resolved(n)
+    # the weights are built before the streams are drawn, so the two never
+    # share the peak; the filter reads the spectra from the memo
+    _live_spectra(spec, trunc + burn + n)
     eps = correlated_innovations(spec.sigma, spec.innovation_dist, trunc + burn + n, base, spec.dof)
     x, y = filter_mc_arfima(spec, eps, n)
     return _read_only(x), _read_only(y)
@@ -422,7 +475,8 @@ def generate_arfima(
     _validate_dist(dist, dof)
     _check_memory("d", d)
     n, base, trunc, burn = _resolve_run(length, seed, truncation, burn_in)
-    stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, trunc + burn + n)
-    n_fft = _transform_length(stream.size, trunc + 1, McArfimaSpec.generator)
+    n_fft = _transform_length(trunc + burn + n, trunc + 1, McArfimaSpec.generator)
     spectrum = _weight_spectrum(d, trunc + 1, n_fft)
-    return _read_only(_fft_convolve_tail(stream, spectrum, trunc + 1, burn, n))
+    stream = _unit_stream(np.random.default_rng(base + 0), dist, dof, np.empty(trunc + burn + n))
+    tail = _fft_convolve_tail(stream, spectrum, trunc + 1, burn, n, _transform_buffers(n_fft))
+    return _read_only(tail.copy())

@@ -9,12 +9,18 @@ without going through the estimators under test.
 pass: boxes joined with ``np.concatenate``, the trend projection subtracted
 out of place, and each curve value taken as ``.mean(axis=1).mean()`` of the
 residual products. The pass must match it bit for bit.
+
+``mc_arfima_pair`` is the reference arithmetic of the pair generator: each
+stream drawn as a fresh array, mixed by one product with the ``sigma``
+factor, and each live component convolved through fresh transform arrays
+and summed out of place. ``generate_mc_arfima`` must match it bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from plcc.arfima import STUDENT_T, _sigma_factor
 from plcc.core import profile, series_values
 from plcc.detrended import _detrend_basis
 from plcc.errors import DegenerateInput, InvalidInput, InvalidParameter
@@ -120,3 +126,33 @@ def fluctuation_curves(x, y, scales, order: int) -> tuple[np.ndarray, ...]:
         for j, (a, b) in enumerate(((rx, rx), (ry, ry), (rx, ry))):
             curves[j, i] = (a * b).mean(axis=1).mean()
     return tuple(curves)
+
+
+def mc_arfima_pair(spec, length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` of ``spec`` at ``length`` and ``seed``, computed plainly."""
+    burn = length if spec.burn_in is None else spec.burn_in
+    trunc = length + burn if spec.truncation is None else spec.truncation
+    n_stream, n_weights = trunc + burn + length, trunc + 1
+    raw = np.empty((4, n_stream))
+    for i in range(4):
+        rng = np.random.default_rng(seed + i)
+        z = rng.standard_normal(n_stream)
+        if spec.innovation_dist == STUDENT_T:
+            z = z * np.sqrt((spec.dof - 2.0) / rng.chisquare(spec.dof, n_stream))
+        raw[i] = z
+    eps = _sigma_factor(spec.sigma) @ raw
+    if spec.generator == 1:
+        n_fft = 1 << (n_stream + n_weights - 2).bit_length()
+    else:
+        n_fft = 1 << (n_stream - 1).bit_length()
+    k = np.arange(1.0, n_weights)
+    start = n_weights - 1 + burn
+    parts = [np.zeros(length)] * 4
+    for i, (weight, d) in enumerate(spec.component_weights()):
+        if weight != 0.0:
+            weights = np.concatenate([[1.0], np.cumprod((k - 1.0 + d) / k)])
+            prod = np.fft.rfft(eps[i], n_fft)
+            prod *= np.fft.rfft(weights, n_fft)
+            tail = np.fft.irfft(prod, n_fft)[start : start + length].copy()
+            parts[i] = weight * tail
+    return parts[0] + parts[1], parts[2] + parts[3]

@@ -8,17 +8,20 @@ import threading
 import time
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plcc.arfima
 from plcc.arfima import (
     GAUSSIAN,
     STUDENT_T,
     McArfimaSpec,
     _fft_convolve_tail,
+    _transform_buffers,
     _transform_length,
     arfima_weights,
     correlated_innovations,
@@ -26,7 +29,7 @@ from plcc.arfima import (
     generate_arfima,
     generate_mc_arfima,
 )
-from oracles import partial_sum_scaling, sample_ccf
+from oracles import mc_arfima_pair, partial_sum_scaling, sample_ccf
 from plcc.core import fit_loglog
 from plcc.errors import InvalidParameter, TruncationWarning
 from plcc.montecarlo import split_seed
@@ -321,8 +324,10 @@ def test_filter_versions_give_the_same_tail(length, d, truncation, burn_in, seed
     n_keep = n_tail - skip
     n1, n2 = (_transform_length(stream.size, weights.size, g) for g in (1, 2))
     assert stream.size <= n2 <= n1
-    v1 = _fft_convolve_tail(stream, np.fft.rfft(weights, n1), weights.size, skip, n_keep)
-    v2 = _fft_convolve_tail(stream, np.fft.rfft(weights, n2), weights.size, skip, n_keep)
+    v1, v2 = (
+        _fft_convolve_tail(stream, np.fft.rfft(weights, n), weights.size, skip, n_keep, _transform_buffers(n))
+        for n in (n1, n2)
+    )
     assert v1.shape == v2.shape == (n_keep,)
     # relative to the tail's scale: single samples may sit near zero
     np.testing.assert_allclose(v2, v1, rtol=1e-12, atol=1e-12 * np.abs(v1).max())
@@ -590,6 +595,61 @@ def test_swapping_sides_swaps_output():
     x2, y2 = filter_mc_arfima(swapped, eps[[2, 3, 0, 1]], 128)
     assert np.array_equal(x1, y2)
     assert np.array_equal(y1, x2)
+
+
+_ORACLE_SIGMAS = (
+    np.eye(4),
+    _sigma({(1, 3): 0.5, (2, 4): 0.3}),
+    _sigma({(1, 2): -0.4, (1, 3): 0.6, (2, 4): 0.7, (3, 4): 0.2}),
+    # rank-deficient: the Cholesky factor fails and the eigh factor is taken
+    _sigma({(1, 3): 1.0}),
+    np.ones((4, 4)),
+)
+
+
+@pytest.mark.filterwarnings("ignore::plcc.errors.TruncationWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    generator=st.sampled_from([1, 2]),
+    dist=st.one_of(st.just((GAUSSIAN, None)), st.floats(2.5, 10).map(lambda v: (STUDENT_T, v))),
+    weights=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.3]), min_size=4, max_size=4),
+    ds=st.lists(st.floats(-0.45, 0.45), min_size=4, max_size=4),
+    sigma=st.sampled_from(range(len(_ORACLE_SIGMAS))),
+    cutoffs=st.one_of(
+        st.just((None, None)), st.tuples(st.integers(1, 4000), st.integers(0, 2000))
+    ),
+    length=st.integers(64, 3000),
+    seed=st.integers(0, 2**32),
+    block=st.sampled_from([None, 777, 4096]),
+)
+# streams longer than the mixing block and no multiple of it: a short last block
+@example(generator=2, dist=(GAUSSIAN, None), weights=[1.0, 0.5, 1.0, 0.0],
+         ds=[0.4, 0.1, 0.3, 0.2], sigma=1, cutoffs=(10000, 3000), length=5000,
+         seed=3, block=None)
+@example(generator=1, dist=(STUDENT_T, 3.0), weights=[0.0, 0.0, 1.0, 1.0],
+         ds=[0.4, 0.1, -0.3, 0.2], sigma=3, cutoffs=(None, None), length=6000,
+         seed=8, block=None)
+def test_pair_matches_the_plain_oracle_bit_for_bit(generator, dist, weights, ds, sigma, cutoffs,
+                                                    length, seed, block):
+    # the generator draws and mixes its streams in place, a block of columns
+    # at a time, and filters every component through one buffer pair; the
+    # oracle does the same arithmetic in fresh arrays
+    innovation_dist, dof = dist
+    truncation, burn_in = cutoffs
+    spec = McArfimaSpec(*weights, *ds, _ORACLE_SIGMAS[sigma], innovation_dist=innovation_dist,
+                        dof=dof, truncation=truncation, burn_in=burn_in, generator=generator)
+    with mock.patch("plcc.arfima._MIX_BLOCK", block or plcc.arfima._MIX_BLOCK):
+        x, y = generate_mc_arfima(spec, length, seed)
+        rspec = spec.resolved(length)
+        eps = correlated_innovations(rspec.sigma, innovation_dist,
+                                     rspec.truncation + rspec.burn_in + length, seed, dof)
+    want = mc_arfima_pair(spec, length, seed)
+    assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+    # the filter reads its streams and leaves them as they were
+    before = eps.tobytes()
+    fx, fy = filter_mc_arfima(rspec, eps, length)
+    assert eps.tobytes() == before
+    assert np.array_equal(fx, x) and np.array_equal(fy, y)
 
 
 # =========================================================================

@@ -287,6 +287,21 @@ def test_fit_loglog_stderr_divides_by_divisor():
     assert f4.exponent == pytest.approx(f2.exponent / 2.0, rel=1e-12)
 
 
+def test_fit_loglog_stderr_is_the_ols_standard_error():
+    # n - 2 degrees of freedom: the residual variance of a two-parameter
+    # line, computed here by hand on a noisy 7-point curve
+    rng = np.random.default_rng(17)
+    s = np.geomspace(8, 512, 7)
+    vals = s**0.9 * np.exp(rng.normal(0, 0.2, s.size))
+    fit = fit_loglog(np.column_stack([s, vals]), divisor=-2.0)
+    u, v = np.log(s), np.log(vals)
+    du = u - u.mean()
+    slope = float(du @ (v - v.mean())) / float(du @ du)
+    resid = v - (v.mean() + slope * du)
+    expected = math.sqrt(float(resid @ resid) / (s.size - 2) / float(du @ du)) / 2.0
+    assert fit.stderr == pytest.approx(expected, rel=1e-12)
+
+
 def test_fit_loglog_validation():
     good = np.column_stack([np.arange(1.0, 6.0), np.arange(1.0, 6.0)])
     with pytest.raises(InvalidParameter):

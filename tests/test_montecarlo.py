@@ -256,6 +256,15 @@ def test_a_spread_past_the_largest_double_is_refused():
         _cell_from_samples("beta_median", 256, None, [big, -big, None])
 
 
+@pytest.mark.parametrize("n_failed, degraded", [(2, False), (3, True)])
+def test_a_cell_is_degraded_past_a_fifth_of_its_samples_missing(n_failed, degraded):
+    # the boundary itself, 2 of 10, is not degraded
+    samples = [0.5 + 0.01 * k for k in range(10 - n_failed)] + [None] * n_failed
+    cell = _cell_from_samples("dfa_hx", 256, 0.5, samples)
+    assert (cell.n_completed, cell.n_failed) == (10 - n_failed, n_failed)
+    assert cell.degraded is degraded
+
+
 def test_replication_seeds_shared_across_lengths(small_result):
     # replication r uses one child seed for every length, so the shorter
     # run is not a prefix re-draw but the same innovation stream truncated
